@@ -12,7 +12,6 @@ from .compiler import (
     compile_policies,
     policy_id,
 )
-from .core import BACKEND
 from .engine import Decision, Verdict, decide
 from .errors import BpfcontainError
 from .events import (
@@ -54,6 +53,9 @@ from .trace import (
 )
 
 __version__ = "0.1.0"
+
+# The decision kernel (``bpfcontain.core``) is pure Python.
+BACKEND = "python"
 
 __all__ = [
     "AccessFlags",

@@ -1,36 +1,266 @@
-"""Decision-kernel backend selection.
+"""The decision kernel: the file-access and socket-op hot paths.
 
-Prefers the compiled extension when it imported cleanly; falls back to the
-pure-Python twin otherwise.  Set ``BPFCONTAIN_PURE_PYTHON=1`` to force the
-fallback (the benchmark and the parity tests use this).
+The engine computes the kernel arguments from an event, its container and
+the sealed store's per-policy tables; the kernels return plain tuples::
+
+    (verdict, reason, detail, taint_detail)
+
+where detail/taint_detail are ``(tier, key, mask)`` for rule-derived
+reasons and None otherwise.  Kernels never mutate state; a non-None
+taint_detail tells the engine to commit the taint transition.  The integer
+codes below are shared with the engine, which maps them onto verdicts,
+stages and reason text.
 """
 
 from __future__ import annotations
 
-import os
+# verdicts
+V_ALLOW = 0
+V_DENY = 1
+V_KILL = 2
+V_UNCONFINED = 3
 
-from . import _core_py
+# rule tiers, most specific first
+T_FILE = 0
+T_SUBDIR = 1
+T_FS = 2
+T_DEV = 3
+T_NET = 4
+T_IPC = 5
+T_CAP = 6
 
-if os.environ.get("BPFCONTAIN_PURE_PYTHON") == "1":
-    _impl = _core_py
-else:
-    try:
-        from . import _core as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _core_py
+# kernel reason codes
+R_EXEMPT = 1
+R_DENY_RULE = 2
+R_ALLOW_RULE = 3
+R_DEFAULT = 4
+R_PROC_SELF = 5
+R_PROC_FOREIGN = 6
+R_OVERLAY = 7
+R_BPFFS = 8
+R_NET_FAMILY = 9
+R_UNIX_IPC = 10
 
-BACKEND: str = _impl.BACKEND
-decide_file_access = _impl.decide_file_access
-decide_socket_op = _impl.decide_socket_op
-classify_device = _impl.classify_device
+# subject_rel values for procfs/sysfs events
+SUBJ_NA = 0
+SUBJ_OWN = 1
+SUBJ_FOREIGN = 2
+
+# fs kinds (match events.FsKind)
+_REGULAR, _PROCFS, _SYSFS, _OVERLAYFS, _BPFFS = 0, 1, 2, 3, 4
+# access bits (match policy.AccessFlags)
+_WRITE_OR_APPEND = 2 | 4
+# device kinds (match policy.DeviceKind)
+_DEV_TTY, _DEV_RANDOM, _DEV_NULL, _DEV_ZERO = 0, 1, 2, 3
+# socket families / ops (match events.SocketFamily / SocketOpKind)
+_FAM_UNIX, _FAM_OTHER = 2, 3
+_OP_CREATE = 0
+_NET_ALL = 15
+
+# Maximum path components a subdir rule may reach below its root: the rule
+# grants 8 nested subdirectory levels, plus the final component itself.
+_SUBDIR_REACH = 9
+
+# op -> required category bit(s); CREATE is special-cased
+_OP_CATS = (
+    15,  # CREATE: any category justifies socket creation
+    2,   # BIND -> server
+    2,   # LISTEN -> server
+    2,   # ACCEPT -> server
+    1,   # CONNECT -> client
+    4,   # SEND -> send
+    8,   # RECEIVE -> receive
+    2,   # SHUTDOWN -> server
+)
 
 
-def backends() -> dict[str, object]:
-    """All importable kernel backends, keyed by name."""
-    found: dict[str, object] = {_core_py.BACKEND: _core_py}
-    try:
-        from . import _core
-        found[_core.BACKEND] = _core
-    except ImportError:
-        pass
-    return found
+def classify_device(path):
+    """Map a /dev path onto a device-rule kind, or -1 if it is none of them."""
+    if path == "/dev/null":
+        return _DEV_NULL
+    if path == "/dev/zero":
+        return _DEV_ZERO
+    if path == "/dev/random" or path == "/dev/urandom":
+        return _DEV_RANDOM
+    if path.startswith("/dev/tty") or path.startswith("/dev/pts/"):
+        return _DEV_TTY
+    return -1
+
+
+def decide_file_access(file_t, subdir_t, fs_t, dev_t,
+                       default_allow, tainted,
+                       path, requested, fs_kind, subject_rel, overlay_owned):
+    """Stages 3-8 of the pipeline for one file access.
+
+    ``file_t``..``dev_t`` are this policy's per-category tables (or None),
+    ``subject_rel``/``overlay_owned`` carry the container-relative facts the
+    engine precomputed (procfs subject membership, overlay ns ownership).
+    """
+    # pinned-object protection: mutating bpffs is hardening, not policy
+    if fs_kind == _BPFFS and requested & _WRITE_OR_APPEND:
+        return (V_DENY, R_BPFFS, None, None)
+
+    # collect the matching entry per tier, most specific first
+    file_hit = file_t.get(path) if file_t is not None else None
+
+    subdir_hits = None
+    fs_hit = None
+    fs_key = None
+    if fs_t is not None:
+        # the containing filesystem is the longest declared mountpoint prefix
+        fs_hit = fs_t.get(path)
+        if fs_hit is not None:
+            fs_key = path
+    need_fs = fs_t is not None and fs_hit is None
+    need_subdir = subdir_t is not None
+    if need_fs or need_subdir:
+        anc = path
+        depth = 0
+        while anc != "/" and (need_fs or (need_subdir and depth < _SUBDIR_REACH)):
+            cut = anc.rfind("/")
+            anc = anc[:cut] if cut > 0 else "/"
+            depth += 1
+            if need_subdir and depth <= _SUBDIR_REACH:
+                entry = subdir_t.get(anc)
+                if entry is not None:
+                    if subdir_hits is None:
+                        subdir_hits = []
+                    subdir_hits.append((anc, entry))
+            if need_fs:
+                entry = fs_t.get(anc)
+                if entry is not None:
+                    fs_hit = entry
+                    fs_key = anc
+                    need_fs = False
+
+    dev_key = -1
+    dev_hit = None
+    if dev_t is not None:
+        dev_key = classify_device(path)
+        if dev_key >= 0:
+            dev_hit = dev_t.get(dev_key)
+
+    # implicit filesystem policy
+    implicit_allow = 0  # 0 none, 1 own procfs/sysfs entry, 2 owned overlay
+    foreign = False
+    if fs_kind == _PROCFS or fs_kind == _SYSFS:
+        if subject_rel == SUBJ_OWN:
+            implicit_allow = 1
+        elif subject_rel == SUBJ_FOREIGN:
+            foreign = True
+    elif fs_kind == _OVERLAYFS and overlay_owned:
+        implicit_allow = 2
+
+    if foreign:
+        # only an explicit file/subdir grant covering the request rescues it
+        granted = 0
+        if file_hit is not None and file_hit[0]:
+            granted = file_hit[0]
+        elif subdir_hits is not None:
+            for _, entry in subdir_hits:
+                if entry[0]:
+                    granted = entry[0]
+                    break
+        if requested & ~granted:
+            return (V_DENY, R_PROC_FOREIGN, None, None)
+
+    # taint triggers, then the untainted exemption
+    taint_detail = None
+    if not tainted:
+        if file_hit is not None and file_hit[2] & requested:
+            taint_detail = (T_FILE, path, file_hit[2] & requested)
+        if taint_detail is None and subdir_hits is not None:
+            for anc, entry in subdir_hits:
+                if entry[2] & requested:
+                    taint_detail = (T_SUBDIR, anc, entry[2] & requested)
+                    break
+        if taint_detail is None and fs_hit is not None and fs_hit[2] & requested:
+            taint_detail = (T_FS, fs_key, fs_hit[2] & requested)
+        if taint_detail is None and dev_hit is not None and dev_hit[2] & requested:
+            taint_detail = (T_DEV, dev_key, dev_hit[2] & requested)
+        if taint_detail is None:
+            return (V_ALLOW, R_EXEMPT, None, None)
+
+    # explicit deny rules: any match wins, tier order fixes provenance only
+    if file_hit is not None and file_hit[1] & requested:
+        return (V_DENY, R_DENY_RULE, (T_FILE, path, file_hit[1] & requested), taint_detail)
+    if subdir_hits is not None:
+        for anc, entry in subdir_hits:
+            if entry[1] & requested:
+                return (V_DENY, R_DENY_RULE, (T_SUBDIR, anc, entry[1] & requested), taint_detail)
+    if fs_hit is not None and fs_hit[1] & requested:
+        return (V_DENY, R_DENY_RULE, (T_FS, fs_key, fs_hit[1] & requested), taint_detail)
+    if dev_hit is not None and dev_hit[1] & requested:
+        return (V_DENY, R_DENY_RULE, (T_DEV, dev_key, dev_hit[1] & requested), taint_detail)
+
+    if implicit_allow == 1:
+        return (V_ALLOW, R_PROC_SELF, None, taint_detail)
+    if implicit_allow == 2:
+        return (V_ALLOW, R_OVERLAY, None, taint_detail)
+
+    # explicit allow: the most specific tier with a grant fixes the granted
+    # set; broader tiers cannot widen it (File > Subdir > Filesystem > Device)
+    granted = 0
+    detail = None
+    if file_hit is not None and file_hit[0]:
+        granted = file_hit[0]
+        detail = (T_FILE, path, granted)
+    elif subdir_hits is not None and any(entry[0] for _, entry in subdir_hits):
+        for anc, entry in subdir_hits:
+            if entry[0]:
+                granted = entry[0]
+                detail = (T_SUBDIR, anc, granted)
+                break
+    elif not foreign and fs_hit is not None and fs_hit[0]:
+        granted = fs_hit[0]
+        detail = (T_FS, fs_key, granted)
+    elif not foreign and dev_hit is not None and dev_hit[0]:
+        granted = dev_hit[0]
+        detail = (T_DEV, dev_key, granted)
+
+    if granted and not (requested & ~granted):
+        return (V_ALLOW, R_ALLOW_RULE, detail, taint_detail)
+    if foreign:
+        # coverage was established above; reaching here means a shadowing
+        # file/subdir entry granted less than requested
+        return (V_DENY, R_PROC_FOREIGN, None, taint_detail)
+    if default_allow:
+        return (V_ALLOW, R_DEFAULT, None, taint_detail)
+    return (V_DENY, R_DEFAULT, None, taint_detail)
+
+
+def decide_socket_op(allow_cats, deny_cats, taint_cats,
+                     default_allow, tainted, family, op):
+    """Socket-operation decision over the policy's network category masks."""
+    if family == _FAM_UNIX:
+        # unix domain sockets are ipc; a container may always talk to itself,
+        # cross-container flows arrive as IpcOp events
+        return (V_ALLOW, R_UNIX_IPC, None, None)
+    if family == _FAM_OTHER:
+        if not tainted:
+            return (V_ALLOW, R_EXEMPT, None, None)
+        return (V_DENY, R_NET_FAMILY, None, None)
+
+    opcats = _OP_CATS[op]
+    taint_detail = None
+    if not tainted:
+        if op != _OP_CREATE and taint_cats & opcats:
+            taint_detail = (T_NET, taint_cats & opcats, taint_cats & opcats)
+        else:
+            return (V_ALLOW, R_EXEMPT, None, None)
+
+    if op == _OP_CREATE:
+        # creation is implied by any grant and refused only by a total deny
+        if deny_cats == _NET_ALL:
+            return (V_DENY, R_DENY_RULE, (T_NET, _NET_ALL, _NET_ALL), taint_detail)
+        if allow_cats:
+            return (V_ALLOW, R_ALLOW_RULE, (T_NET, allow_cats, allow_cats), taint_detail)
+    else:
+        if deny_cats & opcats:
+            return (V_DENY, R_DENY_RULE, (T_NET, opcats, opcats), taint_detail)
+        if allow_cats & opcats:
+            return (V_ALLOW, R_ALLOW_RULE, (T_NET, opcats, opcats), taint_detail)
+
+    if default_allow:
+        return (V_ALLOW, R_DEFAULT, None, taint_detail)
+    return (V_DENY, R_DEFAULT, None, taint_detail)

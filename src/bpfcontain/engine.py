@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import core
-from ._codes import (
+from .core import (
     R_ALLOW_RULE,
     R_BPFFS,
     R_DEFAULT,

@@ -143,7 +143,8 @@ HookEvent = (
     | CommitCreds | SwitchNamespaces | HardeningOp
 )
 
-# Wire-format spellings (trace files and audit summaries).
+# Wire-format spellings (trace files and audit summaries); the trace parser
+# inverts these tables, so each spelling is written once.
 _FAMILY_NAMES = {
     SocketFamily.IPV4: "Ipv4",
     SocketFamily.IPV6: "Ipv6",

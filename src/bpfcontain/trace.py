@@ -26,16 +26,17 @@ from .events import (
     CommitCreds,
     FileAccess,
     FsKind,
-    HardeningKind,
     HardeningOp,
     HookEvent,
-    IpcMechanism,
     IpcOp,
     PrivLevel,
-    SocketFamily,
     SocketOp,
-    SocketOpKind,
     SwitchNamespaces,
+    _FAMILY_NAMES,
+    _FSKIND_NAMES,
+    _HARDENING_NAMES,
+    _IPC_NAMES,
+    _SOCKOP_NAMES,
 )
 from .policy import format_access, parse_access, normalize_event_path
 from .state import ContainerState
@@ -158,30 +159,12 @@ class AuditLog:
 
 # --- trace parsing -------------------------------------------------------------
 
-_FS_KINDS = {
-    "Regular": FsKind.REGULAR, "Procfs": FsKind.PROCFS, "Sysfs": FsKind.SYSFS,
-    "Overlayfs": FsKind.OVERLAYFS, "Bpffs": FsKind.BPFFS,
-}
-_FAMILIES = {
-    "Ipv4": SocketFamily.IPV4, "Ipv6": SocketFamily.IPV6,
-    "Unix": SocketFamily.UNIX, "Other": SocketFamily.OTHER,
-}
-_SOCK_OPS = {
-    "Create": SocketOpKind.CREATE, "Bind": SocketOpKind.BIND,
-    "Listen": SocketOpKind.LISTEN, "Accept": SocketOpKind.ACCEPT,
-    "Connect": SocketOpKind.CONNECT, "Send": SocketOpKind.SEND,
-    "Receive": SocketOpKind.RECEIVE, "Shutdown": SocketOpKind.SHUTDOWN,
-}
-_MECHANISMS = {
-    "UnixSocket": IpcMechanism.UNIX_SOCKET, "Signal": IpcMechanism.SIGNAL,
-    "SysV": IpcMechanism.SYSV, "ShMem": IpcMechanism.SHMEM,
-}
-_HARDENING_OPS = {
-    "BpfSyscall": HardeningKind.BPF_SYSCALL, "Keyring": HardeningKind.KEYRING,
-    "Ptrace": HardeningKind.PTRACE, "Mount": HardeningKind.MOUNT,
-    "Lockdown": HardeningKind.LOCKDOWN,
-    "UnlinkPinnedObject": HardeningKind.UNLINK_PINNED_OBJECT,
-}
+# wire spelling -> enum member, inverted from the tables in ``events``
+_FS_KINDS = {name: kind for kind, name in _FSKIND_NAMES.items()}
+_FAMILIES = {name: family for family, name in _FAMILY_NAMES.items()}
+_SOCK_OPS = {name: op for op, name in _SOCKOP_NAMES.items()}
+_MECHANISMS = {name: mech for mech, name in _IPC_NAMES.items()}
+_HARDENING_OPS = {name: op for op, name in _HARDENING_NAMES.items()}
 
 _KIND_FIELDS = {
     "FileAccess": {"pid", "path", "requested", "fs_kind", "owner_mount_ns", "proc_subject_pid"},
@@ -201,16 +184,22 @@ def _need(obj: dict, key: str, types, seq) -> object:
     if key not in obj:
         raise MalformedEvent(seq, f"missing field {key!r}")
     value = obj[key]
-    if not isinstance(value, types) or isinstance(value, bool) and types is int:
+    if not isinstance(value, types):
         raise MalformedEvent(seq, f"field {key!r} has wrong type")
+    return value
+
+
+def _int(value, what: str, seq) -> int:
+    """The one integer check for trace fields; JSON true/false are not integers."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedEvent(seq, f"{what} must be an integer")
     return value
 
 
 def _int_field(obj: dict, key: str, seq) -> int:
-    value = _need(obj, key, int, seq)
-    if isinstance(value, bool):
-        raise MalformedEvent(seq, f"field {key!r} has wrong type")
-    return value
+    if key not in obj:
+        raise MalformedEvent(seq, f"missing field {key!r}")
+    return _int(obj[key], key, seq)
 
 
 def _enum_field(obj: dict, key: str, table: dict, seq):
@@ -225,9 +214,7 @@ def _priv_level(obj, key: str, seq) -> PrivLevel:
     extra = set(value) - {"uid", "capability_set"}
     if extra:
         raise MalformedEvent(seq, f"{key}: unknown fields {sorted(extra)}")
-    uid = value.get("uid")
-    if not isinstance(uid, int) or isinstance(uid, bool):
-        raise MalformedEvent(seq, f"{key}.uid must be an integer")
+    uid = _int(value.get("uid"), f"{key}.uid", seq)
     caps = value.get("capability_set", [])
     if not isinstance(caps, list) or any(not isinstance(c, str) for c in caps):
         raise MalformedEvent(seq, f"{key}.capability_set must be a list of strings")
@@ -244,10 +231,7 @@ def parse_trace_object(obj: dict, seq=None) -> TraceEvent:
         raise MalformedEvent(seq, "event must be a JSON object")
     obj = dict(obj)
     if "seq" in obj:
-        seq_raw = obj.pop("seq")
-        if not isinstance(seq_raw, int) or isinstance(seq_raw, bool):
-            raise MalformedEvent(seq, "seq must be an integer")
-        seq = seq_raw
+        seq = _int(obj.pop("seq"), "seq", seq)
     elif seq is None:
         raise MalformedEvent(None, "missing field 'seq'")
 
@@ -327,10 +311,8 @@ def parse_trace_object(obj: dict, seq=None) -> TraceEvent:
         extra = set(ns) - {"mount_ns", "ipc_ns"}
         if extra:
             raise MalformedEvent(seq, f"ns_info: unknown fields {sorted(extra)}")
-        mount_ns = ns.get("mount_ns", 0)
-        ipc_ns = ns.get("ipc_ns", 0)
-        if not isinstance(mount_ns, int) or not isinstance(ipc_ns, int):
-            raise MalformedEvent(seq, "ns_info values must be integers")
+        mount_ns = _int(ns.get("mount_ns", 0), "ns_info.mount_ns", seq)
+        ipc_ns = _int(ns.get("ipc_ns", 0), "ns_info.ipc_ns", seq)
     return TraceEvent(seq, Confine(pid, name, mount_ns, ipc_ns))
 
 
@@ -371,19 +353,17 @@ def event_to_object(te: TraceEvent) -> dict:
         out.update(kind="FileAccess", pid=ev.pid, path=ev.path,
                    requested=format_access(ev.requested))
         if ev.fs_kind != FsKind.REGULAR:
-            out["fs_kind"] = ev.fs_kind.name.capitalize()
+            out["fs_kind"] = _FSKIND_NAMES[ev.fs_kind]
         if ev.owner_mount_ns is not None:
             out["owner_mount_ns"] = ev.owner_mount_ns
         if ev.proc_subject_pid is not None:
             out["proc_subject_pid"] = ev.proc_subject_pid
     elif isinstance(ev, SocketOp):
-        family = {SocketFamily.IPV4: "Ipv4", SocketFamily.IPV6: "Ipv6",
-                  SocketFamily.UNIX: "Unix", SocketFamily.OTHER: "Other"}[ev.family]
-        out.update(kind="SocketOp", pid=ev.pid, family=family,
-                   op=ev.op.name.capitalize())
+        out.update(kind="SocketOp", pid=ev.pid, family=_FAMILY_NAMES[ev.family],
+                   op=_SOCKOP_NAMES[ev.op])
     elif isinstance(ev, IpcOp):
-        mech = {v: k for k, v in _MECHANISMS.items()}[ev.mechanism]
-        out.update(kind="IpcOp", pid=ev.pid, peer_pid=ev.peer_pid, mechanism=mech)
+        out.update(kind="IpcOp", pid=ev.pid, peer_pid=ev.peer_pid,
+                   mechanism=_IPC_NAMES[ev.mechanism])
     elif isinstance(ev, CapabilityUse):
         out.update(kind="CapabilityUse", pid=ev.pid, capability=ev.capability,
                    possessed=ev.possessed)
@@ -396,8 +376,7 @@ def event_to_object(te: TraceEvent) -> dict:
     elif isinstance(ev, SwitchNamespaces):
         out.update(kind="SwitchNamespaces", pid=ev.pid)
     elif isinstance(ev, HardeningOp):
-        name = {v: k for k, v in _HARDENING_OPS.items()}[ev.op]
-        out.update(kind="HardeningOp", pid=ev.pid, op=name)
+        out.update(kind="HardeningOp", pid=ev.pid, op=_HARDENING_NAMES[ev.op])
     elif isinstance(ev, Confine):
         out.update(kind="confine", pid=ev.pid, policy_name=ev.policy_name,
                    ns_info={"mount_ns": ev.mount_ns, "ipc_ns": ev.ipc_ns})

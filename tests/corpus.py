@@ -233,7 +233,7 @@ def random_event(rng: random.Random):
     return rng.choice(EVENTS)
 
 
-# --- synthetic replay workload (perf criterion and backend benchmark) ---------
+# --- synthetic replay workload (perf criterion and perfbench steady_mix) ------
 
 WORKLOAD_POLICIES = """\
 name: web

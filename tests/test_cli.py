@@ -111,6 +111,13 @@ def test_run_malformed_event_exits_3(policy_dir, tmp_path):
     assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 3
 
 
+def test_run_boolean_ns_info_exits_3(policy_dir, tmp_path):
+    trace = tmp_path / "t.jsonl"
+    _write_trace(trace, [{"seq": 1, "kind": "confine", "pid": 5, "policy_name": "hello_minimal",
+                          "ns_info": {"mount_ns": True}}])
+    assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 3
+
+
 def test_run_missing_trace_exits_2(policy_dir, tmp_path):
     assert run_cli("--policy-dir", str(policy_dir), "run",
                    "--trace", str(tmp_path / "nope.jsonl")) == 2

@@ -9,9 +9,15 @@ from bpfcontain.errors import MalformedEvent, OutOfOrderTrace, TraceError
 from bpfcontain.events import (
     CommitCreds,
     FileAccess,
+    FsKind,
     HardeningKind,
     HardeningOp,
+    IpcMechanism,
+    IpcOp,
     PrivLevel,
+    SocketFamily,
+    SocketOp,
+    SocketOpKind,
 )
 from bpfcontain.policy import parse_access
 from bpfcontain.trace import (
@@ -150,12 +156,16 @@ def test_audit_record_field_order(example_store):
 # --- wire format -----------------------------------------------------------------
 
 def test_parse_trace_round_trip(example_store):
-    events = [
-        TraceEvent(1, Confine(1, "hello_taint", mount_ns=5, ipc_ns=6)),
-        TraceEvent(2, FileAccess(1, "/dev/tty", parse_access("rw"))),
-        TraceEvent(3, Fork(1, 2)),
-        TraceEvent(4, Exit(2)),
-    ]
+    hooks = [FileAccess(1, "/dev/tty", parse_access("rw"), kind) for kind in FsKind]
+    hooks += [SocketOp(1, family, SocketOpKind.CONNECT) for family in SocketFamily]
+    hooks += [SocketOp(1, SocketFamily.IPV4, op) for op in SocketOpKind]
+    hooks += [IpcOp(1, 2, mech) for mech in IpcMechanism]
+    hooks += [HardeningOp(1, op) for op in HardeningKind]
+    hooks.append(CommitCreds(1, PrivLevel(1000, frozenset({"CAP_CHOWN"})),
+                             PrivLevel(0, frozenset({"CAP_CHOWN", "CAP_NET_RAW"}))))
+    events = [TraceEvent(1, Confine(1, "hello_taint", mount_ns=5, ipc_ns=6))]
+    events += [TraceEvent(seq, hook) for seq, hook in enumerate(hooks, start=2)]
+    events += [TraceEvent(100, Fork(1, 2)), TraceEvent(101, Exit(2))]
     buf = io.StringIO()
     write_trace(events, buf)
     parsed = parse_trace(buf.getvalue().splitlines())
@@ -193,6 +203,20 @@ def test_trace_rejects_bad_enum_value():
                     "family": "Ipx", "op": "Connect"})
     with pytest.raises(MalformedEvent):
         parse_trace(lines)
+
+
+def test_trace_rejects_boolean_integers():
+    # JSON true/false decode to Python bools, which are ints; none may pass
+    for obj in (
+        {"seq": 1, "kind": "exit", "pid": True},
+        {"seq": True, "kind": "exit", "pid": 1},
+        {"seq": 1, "kind": "confine", "pid": 5, "policy_name": "p",
+         "ns_info": {"mount_ns": True}},
+        {"seq": 1, "kind": "CommitCreds", "pid": 1,
+         "old_priv": {"uid": False}, "new_priv": {"uid": 0}},
+    ):
+        with pytest.raises(MalformedEvent):
+            parse_trace(_lines(obj))
 
 
 def test_trace_rejects_out_of_order_seq():
