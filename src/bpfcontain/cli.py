@@ -108,6 +108,7 @@ def _load_policies(policy_dir: str):
         print(f"error: [ParseError] {exc}", file=sys.stderr)
         return None, [], EXIT_POLICY
     docs = [doc for _, doc in named_docs]
+    log.info("loaded %d policies from %s", len(docs), policy_dir)
     issues = validate_policy_set(docs)
     return docs, issues, EXIT_OK
 
@@ -136,11 +137,16 @@ def _compile_for_run(args):
             print(str(issue), file=sys.stderr)
         return None, None, None, EXIT_POLICY
     capacities, containers, audit = _capacities(args)
+    log.info("capacities: %s, containers=%d, audit=%d",
+             ", ".join(f"{cat}={getattr(capacities, cat)}" for cat in MAP_CATEGORIES),
+             containers, audit)
     try:
         store = compile_policies(docs, capacities)
     except CompileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, None, None, EXIT_POLICY
+    log.info("store entries: %s",
+             ", ".join(f"{cat}={store.count(cat)}" for cat in MAP_CATEGORIES))
     return store, containers, audit, EXIT_OK
 
 
@@ -157,9 +163,12 @@ def cmd_run(args) -> int:
     except TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRACE
+    log.info("parsed %d events from %s", len(events), args.trace)
 
     state = ContainerState(store, max_containers=containers)
     _, audit = replay(events, store, state, audit_capacity=audit_capacity)
+    log.info("replayed %d events: %d audit records kept, %d dropped, %d containers live",
+             audit.events, len(audit.records), audit.dropped, len(state.containers))
 
     if args.audit:
         try:

@@ -6,12 +6,15 @@ untainted exemption; explicit deny rules; the capability mask; explicit
 allow rules; the policy's default mode.  A taint trigger is committed
 before the triggering event is judged, so the event itself is evaluated
 under the tainted regime.
+
+A Decision is codes only; its stage and reason text are rendered from the
+reason table below when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import core
 from .core import (
@@ -35,6 +38,10 @@ from .core import (
     T_IPC,
     T_NET,
     T_SUBDIR,
+    V_ALLOW,
+    V_DENY,
+    V_KILL,
+    V_UNCONFINED,
 )
 from .compiler import CompiledPolicyStore, F_ALLOW, F_DENY, F_TAINT
 from .errors import StoreNotSealed, UnknownPolicy
@@ -63,29 +70,70 @@ class Verdict(Enum):
 
 _VERDICTS = (Verdict.ALLOW, Verdict.DENY, Verdict.KILL, Verdict.UNCONFINED)
 
+# Reason codes the engine and the replay add to the kernel's R_* codes.
+R_UNCONFINED = 11
+R_ESCALATION_UID = 12
+R_ESCALATION_CAPS = 13
+R_CREDS_CHANGE = 14
+R_NS_SWITCH = 15
+R_HARDENING_OP = 16
+R_IPC_SAME = 17
+R_IPC_UNCONFINED = 18
+R_IPC_DENY_RULE = 19
+R_IPC_NO_RULE = 20
+R_IPC_ONE_SIDED = 21
+R_IPC_NS_MISMATCH = 22
+R_IPC_MUTUAL = 23
+R_CAP_DENY_RULE = 24
+R_CAP_ALLOW_RULE = 25
+R_CAP_NOT_POSSESSED = 26
+R_CAP_NO_RULE = 27
+# lifecycle outcomes, audited by the replay rather than decided here
+R_CREATED = 28
+R_REMOVED = 29
+R_STATE_ERROR = 30
+R_KILLED_CONFINE = 31
+R_KILLED_FORK = 32
+R_KILLED_EVENT = 33
 
-@dataclass(frozen=True, slots=True)
-class Decision:
-    verdict: Verdict
-    stage: str
-    reason: str
-    container_id: int | None = None
-    policy: str | None = None
-    taint_transition: bool = False
-    taint_reason: str | None = None
-
-    @property
-    def allowed(self) -> bool:
-        return self.verdict is Verdict.ALLOW
-
-    def explain(self) -> str:
-        """Human-readable outcome, e.g. ``Allow: device rule tty rw``."""
-        return f"{self.verdict.value}: {self.audit_reason()}"
-
-    def audit_reason(self) -> str:
-        if self.taint_transition:
-            return f"tainted by rule {self.taint_reason}, then {self.reason}"
-        return self.reason
+# reason code -> (stage, text); ``{detail}`` is the decision's detail and
+# ``{policy}`` its policy name.  Rule hits and the default mode are worded
+# by ``reason_text`` from the kernel's detail and the verdict.
+_REASONS = {
+    R_EXEMPT: ("untainted-exemption", "untainted container is exempt from enforcement"),
+    R_DENY_RULE: ("explicit-deny", None),
+    R_ALLOW_RULE: ("explicit-allow", None),
+    R_DEFAULT: ("default-mode", None),
+    R_PROC_SELF: ("implicit-fs", "implicit policy: own {detail} entry"),
+    R_PROC_FOREIGN: ("implicit-fs", "implicit policy: foreign {detail} entry"),
+    R_OVERLAY: ("implicit-fs", "implicit policy: overlay filesystem owned by container"),
+    R_BPFFS: ("hardening", "implicit hardening (bpffs pinned object)"),
+    R_NET_FAMILY: ("implicit-net", "implicit policy: address family denied"),
+    R_UNIX_IPC: ("ipc", "unix domain socket (ipc within container)"),
+    R_UNCONFINED: ("unconfined", "pid is not confined"),
+    R_ESCALATION_UID: ("hardening", "privilege escalation in commit_creds (uid {detail}->0)"),
+    R_ESCALATION_CAPS: ("hardening", "privilege escalation in commit_creds (capability gain)"),
+    R_CREDS_CHANGE: ("hardening", "credential change without escalation"),
+    R_NS_SWITCH: ("hardening", "implicit hardening (namespace switch)"),
+    R_HARDENING_OP: ("hardening", "implicit hardening ({detail})"),
+    R_IPC_SAME: ("ipc", "ipc within the same container"),
+    R_IPC_UNCONFINED: ("ipc", "ipc with an unconfined process"),
+    R_IPC_DENY_RULE: ("explicit-deny", "ipc rule denies policy {detail}"),
+    R_IPC_NO_RULE: ("ipc", "no ipc rule for policy {detail}"),
+    R_IPC_ONE_SIDED: ("ipc", "policy {detail} does not allowlist {policy}"),
+    R_IPC_NS_MISMATCH: ("ipc", "ipc namespace mismatch"),
+    R_IPC_MUTUAL: ("ipc", "mutual ipc allowlist with policy {detail}"),
+    R_CAP_DENY_RULE: ("explicit-deny", "capability rule denies {detail}"),
+    R_CAP_ALLOW_RULE: ("explicit-allow", "capability rule {detail}"),
+    R_CAP_NOT_POSSESSED: ("capability-mask", "capability {detail} not possessed"),
+    R_CAP_NO_RULE: ("capability-mask", "capability mask, no rule for {detail}"),
+    R_CREATED: ("lifecycle", "container {detail} created"),
+    R_REMOVED: ("lifecycle", "container {detail} removed"),
+    R_STATE_ERROR: ("lifecycle", "{detail}"),
+    R_KILLED_CONFINE: ("lifecycle", "confine refused: pid was killed earlier in trace"),
+    R_KILLED_FORK: ("lifecycle", "fork refused: child pid was killed earlier in trace"),
+    R_KILLED_EVENT: ("lifecycle", "warning: event from pid killed earlier in trace"),
+}
 
 
 def _describe_entry(tier: int, key, mask: int) -> str:
@@ -121,55 +169,80 @@ def _describe_taint(tier: int, key, mask: int) -> str:
     raise ValueError(f"unknown tier {tier}")
 
 
-def _kernel_reason(code: int, detail, event) -> tuple[str, str]:
-    """Map a kernel reason code to (stage, reason text)."""
-    if code == R_EXEMPT:
-        return "untainted-exemption", "untainted container is exempt from enforcement"
-    if code == R_DENY_RULE:
-        return "explicit-deny", _describe_entry(*detail)
-    if code == R_ALLOW_RULE:
-        return "explicit-allow", _describe_entry(*detail)
-    if code == R_DEFAULT:
-        return "default-mode", "default mode"
-    if code == R_PROC_SELF:
-        fs = "procfs" if event.fs_kind == FsKind.PROCFS else "sysfs"
-        return "implicit-fs", f"implicit policy: own {fs} entry"
-    if code == R_PROC_FOREIGN:
-        fs = "procfs" if event.fs_kind == FsKind.PROCFS else "sysfs"
-        return "implicit-fs", f"implicit policy: foreign {fs} entry"
-    if code == R_OVERLAY:
-        return "implicit-fs", "implicit policy: overlay filesystem owned by container"
-    if code == R_BPFFS:
-        return "hardening", "implicit hardening (bpffs pinned object)"
-    if code == R_NET_FAMILY:
-        return "implicit-net", "implicit policy: address family denied"
-    if code == R_UNIX_IPC:
-        return "ipc", "unix domain socket (ipc within container)"
-    raise ValueError(f"unknown kernel reason {code}")
+def reason_text(verdict_code: int, code: int, detail=None, policy: str | None = None,
+                taint_detail=None) -> str:
+    """The audit reason for a decision's codes, e.g. ``device rule tty rw``."""
+    if code == R_ALLOW_RULE or code == R_DENY_RULE:
+        reason = _describe_entry(*detail)
+    elif code == R_DEFAULT:
+        reason = "default allow" if verdict_code == V_ALLOW else "no matching rule under default deny"
+    else:
+        reason = _REASONS[code][1].format(detail=detail, policy=policy)
+    if taint_detail is None:
+        return reason
+    return f"tainted by rule {_describe_taint(*taint_detail)}, then {reason}"
 
 
-def _finish(verdict_code: int, stage: str, reason: str, container: Container,
-            meta_name: str, state: ContainerState, taint_detail) -> Decision:
-    taint_transition = False
-    taint_reason = None
-    if taint_detail is not None and not container.tainted:
-        state.taint(container.container_id)
-        taint_transition = True
-        taint_reason = _describe_taint(*taint_detail)
-    verdict = _VERDICTS[verdict_code]
-    if verdict is Verdict.DENY and stage == "default-mode":
-        reason = "no matching rule under default deny"
-    elif verdict is Verdict.ALLOW and stage == "default-mode":
-        reason = "default allow"
-    return Decision(
-        verdict=verdict,
-        stage=stage,
-        reason=reason,
-        container_id=container.container_id,
-        policy=meta_name,
-        taint_transition=taint_transition,
-        taint_reason=taint_reason,
-    )
+class Decision(NamedTuple):
+    """One decision as codes; the text is rendered only when asked for.
+
+    ``verdict_code`` is a kernel ``V_*`` code, ``code`` a reason code (the
+    kernel's ``R_*`` or the engine's), ``detail`` the kernel's
+    ``(tier, key, mask)`` for rule hits or the value the reason names, and
+    ``taint_detail`` the taint rule this decision committed, if any.
+    """
+
+    verdict_code: int
+    code: int
+    detail: object = None
+    container_id: int | None = None
+    policy: str | None = None
+    taint_detail: tuple | None = None
+
+    @property
+    def verdict(self) -> Verdict:
+        return _VERDICTS[self.verdict_code]
+
+    @property
+    def allowed(self) -> bool:
+        return self.verdict_code == V_ALLOW
+
+    @property
+    def stage(self) -> str:
+        return _REASONS[self.code][0]
+
+    @property
+    def reason(self) -> str:
+        return reason_text(self.verdict_code, self.code, self.detail, self.policy)
+
+    @property
+    def taint_transition(self) -> bool:
+        return self.taint_detail is not None
+
+    @property
+    def taint_reason(self) -> str | None:
+        if self.taint_detail is None:
+            return None
+        return _describe_taint(*self.taint_detail)
+
+    def explain(self) -> str:
+        """Human-readable outcome, e.g. ``Allow: device rule tty rw``."""
+        return f"{self.verdict.value}: {self.audit_reason()}"
+
+    def audit_reason(self) -> str:
+        return reason_text(self.verdict_code, self.code, self.detail, self.policy,
+                           self.taint_detail)
+
+
+def _finish(verdict: int, code: int, detail, container: Container, policy: str,
+            state: ContainerState, taint_detail) -> Decision:
+    """Commit a pending taint transition and return the decision."""
+    if taint_detail is not None:
+        if container.tainted:
+            taint_detail = None
+        else:
+            state.taint(container.container_id)
+    return Decision(verdict, code, detail, container.container_id, policy, taint_detail)
 
 
 def decide(event: HookEvent, state: ContainerState,
@@ -180,7 +253,7 @@ def decide(event: HookEvent, state: ContainerState,
 
     container = state.lookup(event.pid)
     if container is None:
-        return Decision(Verdict.UNCONFINED, "unconfined", "pid is not confined")
+        return Decision(V_UNCONFINED, R_UNCONFINED)
     meta = store.meta(container.policy_id)
     if meta is None:
         raise UnknownPolicy(f"policy id {container.policy_id:#x}")
@@ -188,27 +261,27 @@ def decide(event: HookEvent, state: ContainerState,
     # hot kinds first; the hardening family below is enforced regardless of
     # taint state or default mode
     if isinstance(event, FileAccess):
-        if event.fs_kind in (FsKind.PROCFS, FsKind.SYSFS):
+        fs_kind = event.fs_kind
+        subject_rel = SUBJ_NA
+        overlay_owned = False
+        if fs_kind == FsKind.PROCFS or fs_kind == FsKind.SYSFS:
             if event.proc_subject_pid is not None and event.proc_subject_pid in container.pid_set:
                 subject_rel = SUBJ_OWN
             else:
                 subject_rel = SUBJ_FOREIGN
-        else:
-            subject_rel = SUBJ_NA
-        overlay_owned = (
-            event.fs_kind == FsKind.OVERLAYFS
-            and event.owner_mount_ns is not None
-            and event.owner_mount_ns == container.mount_ns
-        )
+        elif fs_kind == FsKind.OVERLAYFS:
+            overlay_owned = (event.owner_mount_ns is not None
+                             and event.owner_mount_ns == container.mount_ns)
         file_t, subdir_t, fs_t, dev_t = store.kernel_tables(container.policy_id)
         verdict, code, detail, taint_detail = core.decide_file_access(
             file_t, subdir_t, fs_t, dev_t,
             meta.default_allow, container.tainted,
-            event.path, int(event.requested), int(event.fs_kind),
+            event.path, int(event.requested), int(fs_kind),
             subject_rel, overlay_owned,
         )
-        stage, reason = _kernel_reason(code, detail, event)
-        return _finish(verdict, stage, reason, container, meta.name, state, taint_detail)
+        if code == R_PROC_SELF or code == R_PROC_FOREIGN:
+            detail = "procfs" if fs_kind == FsKind.PROCFS else "sysfs"
+        return _finish(verdict, code, detail, container, meta.name, state, taint_detail)
 
     if isinstance(event, SocketOp):
         allow_cats, deny_cats, taint_cats = store.network_entry(container.policy_id)
@@ -217,8 +290,7 @@ def decide(event: HookEvent, state: ContainerState,
             meta.default_allow, container.tainted,
             int(event.family), int(event.op),
         )
-        stage, reason = _kernel_reason(code, detail, event)
-        return _finish(verdict, stage, reason, container, meta.name, state, taint_detail)
+        return _finish(verdict, code, detail, container, meta.name, state, taint_detail)
 
     if isinstance(event, IpcOp):
         return _decide_ipc(event, container, meta.name, state, store)
@@ -226,27 +298,19 @@ def decide(event: HookEvent, state: ContainerState,
     if isinstance(event, CapabilityUse):
         return _decide_capability(event, container, meta.name, state, store)
 
+    cid = container.container_id
     if isinstance(event, CommitCreds):
         if event.escalates:
             if event.new_priv.uid == 0 and event.old_priv.uid != 0:
-                why = f"privilege escalation in commit_creds (uid {event.old_priv.uid}->0)"
-            else:
-                why = "privilege escalation in commit_creds (capability gain)"
-            return Decision(Verdict.KILL, "hardening", why,
-                            container.container_id, meta.name)
-        return Decision(Verdict.ALLOW, "hardening",
-                        "credential change without escalation",
-                        container.container_id, meta.name)
+                return Decision(V_KILL, R_ESCALATION_UID, event.old_priv.uid, cid, meta.name)
+            return Decision(V_KILL, R_ESCALATION_CAPS, None, cid, meta.name)
+        return Decision(V_ALLOW, R_CREDS_CHANGE, None, cid, meta.name)
 
     if isinstance(event, SwitchNamespaces):
-        return Decision(Verdict.DENY, "hardening",
-                        "implicit hardening (namespace switch)",
-                        container.container_id, meta.name)
+        return Decision(V_DENY, R_NS_SWITCH, None, cid, meta.name)
 
     if isinstance(event, HardeningOp):
-        return Decision(Verdict.DENY, "hardening",
-                        f"implicit hardening ({HARDENING_SHORT[event.op]})",
-                        container.container_id, meta.name)
+        return Decision(V_DENY, R_HARDENING_OP, HARDENING_SHORT[event.op], cid, meta.name)
 
     raise TypeError(f"decide() cannot judge event {event!r}")
 
@@ -255,8 +319,7 @@ def _decide_ipc(event: IpcOp, container: Container, my_name: str,
                 state: ContainerState, store: CompiledPolicyStore) -> Decision:
     peer = state.lookup(event.peer_pid)
     if peer is not None and peer.container_id == container.container_id:
-        return Decision(Verdict.ALLOW, "ipc", "ipc within the same container",
-                        container.container_id, my_name)
+        return Decision(V_ALLOW, R_IPC_SAME, None, container.container_id, my_name)
 
     taint_detail = None
     if not container.tainted:
@@ -266,56 +329,46 @@ def _decide_ipc(event: IpcOp, container: Container, my_name: str,
                 peer_name = store.meta(peer.policy_id).name
                 taint_detail = (T_IPC, peer_name, 0)
         if taint_detail is None:
-            return Decision(Verdict.ALLOW, "untainted-exemption",
-                            "untainted container is exempt from enforcement",
-                            container.container_id, my_name)
+            return Decision(V_ALLOW, R_EXEMPT, None, container.container_id, my_name)
 
     if peer is None:
-        return _finish(1, "ipc", "ipc with an unconfined process",
-                       container, my_name, state, taint_detail)
+        return _finish(V_DENY, R_IPC_UNCONFINED, None, container, my_name, state, taint_detail)
 
     peer_name = store.meta(peer.policy_id).name
     mine = store.ipc_entry(container.policy_id, peer.policy_id)
     theirs = store.ipc_entry(peer.policy_id, container.policy_id)
     if mine & F_DENY or theirs & F_DENY:
-        return _finish(1, "explicit-deny", f"ipc rule denies policy {peer_name}",
-                       container, my_name, state, taint_detail)
-    if not mine & F_ALLOW:
-        return _finish(1, "ipc", f"no ipc rule for policy {peer_name}",
-                       container, my_name, state, taint_detail)
-    if not theirs & F_ALLOW:
-        return _finish(1, "ipc", f"policy {peer_name} does not allowlist {my_name}",
-                       container, my_name, state, taint_detail)
-    if container.ipc_ns != peer.ipc_ns:
-        return _finish(1, "ipc", "ipc namespace mismatch",
-                       container, my_name, state, taint_detail)
-    return _finish(0, "ipc", f"mutual ipc allowlist with policy {peer_name}",
-                   container, my_name, state, taint_detail)
+        code = R_IPC_DENY_RULE
+    elif not mine & F_ALLOW:
+        code = R_IPC_NO_RULE
+    elif not theirs & F_ALLOW:
+        code = R_IPC_ONE_SIDED
+    elif container.ipc_ns != peer.ipc_ns:
+        code = R_IPC_NS_MISMATCH
+    else:
+        return _finish(V_ALLOW, R_IPC_MUTUAL, peer_name, container, my_name, state,
+                       taint_detail)
+    return _finish(V_DENY, code, peer_name, container, my_name, state, taint_detail)
 
 
 def _decide_capability(event: CapabilityUse, container: Container, my_name: str,
                        state: ContainerState, store: CompiledPolicyStore) -> Decision:
-    flags = store.capability_entry(container.policy_id, event.capability)
+    cap = event.capability
+    flags = store.capability_entry(container.policy_id, cap)
 
     taint_detail = None
     if not container.tainted:
         if flags & F_TAINT:
-            taint_detail = (T_CAP, event.capability, 0)
+            taint_detail = (T_CAP, cap, 0)
         else:
-            return Decision(Verdict.ALLOW, "untainted-exemption",
-                            "untainted container is exempt from enforcement",
-                            container.container_id, my_name)
+            return Decision(V_ALLOW, R_EXEMPT, None, container.container_id, my_name)
 
     if flags & F_DENY:
-        return _finish(1, "explicit-deny", f"capability rule denies {event.capability}",
-                       container, my_name, state, taint_detail)
-    if flags & F_ALLOW:
-        if event.possessed:
-            return _finish(0, "explicit-allow", f"capability rule {event.capability}",
-                           container, my_name, state, taint_detail)
-        return _finish(1, "capability-mask",
-                       f"capability {event.capability} not possessed",
-                       container, my_name, state, taint_detail)
-    return _finish(1, "capability-mask",
-                   f"capability mask, no rule for {event.capability}",
-                   container, my_name, state, taint_detail)
+        code = R_CAP_DENY_RULE
+    elif not flags & F_ALLOW:
+        code = R_CAP_NO_RULE
+    elif event.possessed:
+        return _finish(V_ALLOW, R_CAP_ALLOW_RULE, cap, container, my_name, state, taint_detail)
+    else:
+        code = R_CAP_NOT_POSSESSED
+    return _finish(V_DENY, code, cap, container, my_name, state, taint_detail)

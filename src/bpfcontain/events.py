@@ -112,10 +112,10 @@ class CommitCreds:
 
     @property
     def escalates(self) -> bool:
-        """uid transition to root, or a strict capability-set gain."""
+        """uid transition to root, or any capability the old set lacked."""
         if self.new_priv.uid == 0 and self.old_priv.uid != 0:
             return True
-        return self.new_priv.capability_set > self.old_priv.capability_set
+        return not self.new_priv.capability_set <= self.old_priv.capability_set
 
     def summary(self) -> str:
         return f"CommitCreds uid {self.old_priv.uid}->{self.new_priv.uid}"

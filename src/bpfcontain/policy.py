@@ -46,6 +46,9 @@ _FLAG_CHARS = (
     ("a", AccessFlags.APPEND),
     ("x", AccessFlags.EXECUTE),
 )
+_FLAG_BITS = {ch: int(flag) for ch, flag in _FLAG_CHARS}
+# every mask as its AccessFlags member, so parsing ORs plain ints
+_ACCESS_MEMBERS = tuple(AccessFlags(mask) for mask in range(16))
 
 # Access granted when a file-like rule names no flags.
 DEFAULT_ACCESS = AccessFlags.READ | AccessFlags.WRITE
@@ -58,14 +61,13 @@ def parse_access(flags: str) -> AccessFlags:
     """
     if not isinstance(flags, str) or not flags:
         raise BadAccessFlags(str(flags))
-    out = AccessFlags(0)
-    known = dict(_FLAG_CHARS)
-    for ch in flags:
-        flag = known.get(ch)
-        if flag is None:
-            raise BadAccessFlags(flags)
-        out |= flag
-    return out
+    mask = 0
+    try:
+        for ch in flags:
+            mask |= _FLAG_BITS[ch]
+    except KeyError:
+        raise BadAccessFlags(flags) from None
+    return _ACCESS_MEMBERS[mask]
 
 
 _ACCESS_STRINGS = tuple(
@@ -152,6 +154,9 @@ def normalize_event_path(path: str) -> str:
     """Normalize a trace-supplied path (lexical only, ``..`` resolved in place)."""
     if not path.startswith("/"):
         raise ValueError(f"event path must be absolute: {path!r}")
+    # already canonical: no empty, "." or ".." component and no trailing slash
+    if "//" not in path and "/." not in path and (path[-1] != "/" or path == "/"):
+        return path
     norm = posixpath.normpath(path)
     if norm.startswith("//"):
         norm = norm[1:]

@@ -4,18 +4,33 @@ Traces stand in for live kernel attachment: JSON Lines, a ``{"format": 1}``
 header, then one event object per line with a strictly increasing ``seq``.
 Replay routes lifecycle records through container state, judges mediated
 events through the engine, and appends one audit record per mediated event
-(lifecycle records only audit errors, creations, and removals).
+(lifecycle records only audit errors, creations, and removals).  Records
+keep the event and the decision's codes; their text is rendered only when
+the log is written.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Iterable, NamedTuple, TextIO
 
 from .compiler import CompiledPolicyStore
-from .engine import Decision, Verdict, decide
+from .core import V_ALLOW, V_DENY, V_KILL, V_UNCONFINED
+from .engine import (
+    R_CREATED,
+    R_KILLED_CONFINE,
+    R_KILLED_EVENT,
+    R_KILLED_FORK,
+    R_REMOVED,
+    R_STATE_ERROR,
+    Verdict,
+    decide,
+    reason_text,
+)
 from .errors import (
+    BadAccessFlags,
     MalformedEvent,
     OutOfOrderTrace,
     StateError,
@@ -38,7 +53,7 @@ from .events import (
     _IPC_NAMES,
     _SOCKOP_NAMES,
 )
-from .policy import format_access, parse_access, normalize_event_path
+from .policy import CAPABILITIES, format_access, parse_access, normalize_event_path
 from .state import ContainerState
 
 TRACE_FORMAT_VERSION = 1
@@ -77,35 +92,70 @@ class Exit:
 
 LifecycleEvent = Confine | Fork | Exit
 
+# mediated kinds, most frequent first: replay tests these before lifecycle records
+_HOOK_TYPES = (FileAccess, SocketOp, IpcOp, CapabilityUse, HardeningOp,
+               CommitCreds, SwitchNamespaces)
 
-@dataclass(frozen=True)
-class TraceEvent:
+
+class TraceEvent(NamedTuple):
     seq: int
     event: HookEvent | LifecycleEvent
 
 
 # --- audit trail ---------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class AuditRecord:
+# Audit outcome codes: the engine's verdict codes, then the lifecycle outcomes.
+O_CREATED = 4
+O_REMOVED = 5
+O_ERROR = 6
+OUTCOMES = tuple(v.value for v in Verdict) + ("Created", "Removed", "Error")
+
+
+class AuditRecord(NamedTuple):
+    """One audit line, kept as the event and the decision's codes.
+
+    The fields after ``source`` are those of ``engine.Decision``, with the
+    verdict code widened to an outcome code (``OUTCOMES``).  The text of
+    the line is rendered only by ``to_json``.
+    """
+
     seq: int
-    container_id: int | None
-    policy: str | None
-    event: str
-    decision: str
-    reason: str
-    taint_transition: bool = False
+    source: HookEvent | LifecycleEvent
+    outcome: int
+    code: int
+    detail: object = None
+    container_id: int | None = None
+    policy: str | None = None
+    taint_detail: tuple | None = None
+
+    @property
+    def event(self) -> str:
+        return self.source.summary()
+
+    @property
+    def decision(self) -> str:
+        return OUTCOMES[self.outcome]
+
+    @property
+    def reason(self) -> str:
+        return reason_text(self.outcome, self.code, self.detail, self.policy, self.taint_detail)
+
+    @property
+    def taint_transition(self) -> bool:
+        return self.taint_detail is not None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "seq": self.seq,
-            "container_id": self.container_id,
-            "policy": self.policy,
-            "event": self.event,
-            "decision": self.decision,
-            "reason": self.reason,
-            "taint_transition": self.taint_transition,
-        }, separators=(",", ":"))
+        """The record as one compact JSON object, keys in their fixed order."""
+        seq, source, outcome, code, detail, cid, policy, taint = self
+        return (
+            f'{{"seq":{int(seq)},'
+            f'"container_id":{"null" if cid is None else int(cid)},'
+            f'"policy":{"null" if policy is None else _json_str(policy)},'
+            f'"event":{_json_str(source.summary())},'
+            f'"decision":"{OUTCOMES[outcome]}",'
+            f'"reason":{_json_str(reason_text(outcome, code, detail, policy, taint))},'
+            f'"taint_transition":{"false" if taint is None else "true"}}}'
+        )
 
 
 @dataclass
@@ -113,33 +163,37 @@ class AuditLog:
     """Bounded in-memory audit sink with ring-buffer overflow accounting.
 
     New records are dropped (and counted) once the buffer is full, the way
-    a fixed-size ring buffer sheds events the consumer never drained.
+    a fixed-size ring buffer sheds events the consumer never drained.  The
+    counters see every record, kept or dropped.
     """
 
     capacity: int = DEFAULT_AUDIT_CAPACITY
     records: list[AuditRecord] = field(default_factory=list)
     dropped: int = 0
     events: int = 0
-    allows: int = 0
-    denies: int = 0
-    kills: int = 0
+    outcomes: list[int] = field(default_factory=lambda: [0] * len(OUTCOMES))
     taints: int = 0
 
+    @property
+    def allows(self) -> int:
+        return self.outcomes[V_ALLOW]
+
+    @property
+    def denies(self) -> int:
+        return self.outcomes[V_DENY]
+
+    @property
+    def kills(self) -> int:
+        return self.outcomes[V_KILL]
+
     def append(self, record: AuditRecord):
+        self.outcomes[record.outcome] += 1
+        if record.taint_detail is not None:
+            self.taints += 1
         if len(self.records) < self.capacity:
             self.records.append(record)
         else:
             self.dropped += 1
-
-    def count_decision(self, decision: Decision):
-        if decision.verdict is Verdict.ALLOW:
-            self.allows += 1
-        elif decision.verdict is Verdict.DENY:
-            self.denies += 1
-        elif decision.verdict is Verdict.KILL:
-            self.kills += 1
-        if decision.taint_transition:
-            self.taints += 1
 
     def summary(self) -> dict:
         return {
@@ -153,8 +207,9 @@ class AuditLog:
 
     def write(self, fh: TextIO):
         fh.write(json.dumps({"format": TRACE_FORMAT_VERSION}, separators=(",", ":")) + "\n")
+        to_json = AuditRecord.to_json
         for record in self.records:
-            fh.write(record.to_json() + "\n")
+            fh.write(to_json(record) + "\n")
 
 
 # --- trace parsing -------------------------------------------------------------
@@ -165,19 +220,7 @@ _FAMILIES = {name: family for family, name in _FAMILY_NAMES.items()}
 _SOCK_OPS = {name: op for op, name in _SOCKOP_NAMES.items()}
 _MECHANISMS = {name: mech for mech, name in _IPC_NAMES.items()}
 _HARDENING_OPS = {name: op for op, name in _HARDENING_NAMES.items()}
-
-_KIND_FIELDS = {
-    "FileAccess": {"pid", "path", "requested", "fs_kind", "owner_mount_ns", "proc_subject_pid"},
-    "SocketOp": {"pid", "family", "op"},
-    "IpcOp": {"pid", "peer_pid", "mechanism"},
-    "CapabilityUse": {"pid", "capability", "possessed"},
-    "CommitCreds": {"pid", "old_priv", "new_priv"},
-    "SwitchNamespaces": {"pid"},
-    "HardeningOp": {"pid", "op"},
-    "fork": {"parent", "child"},
-    "exit": {"pid"},
-    "confine": {"pid", "policy_name", "ns_info"},
-}
+_CAPABILITIES = {name: name for name in CAPABILITIES}
 
 
 def _need(obj: dict, key: str, types, seq) -> object:
@@ -190,9 +233,14 @@ def _need(obj: dict, key: str, types, seq) -> object:
 
 
 def _int(value, what: str, seq) -> int:
-    """The one integer check for trace fields; JSON true/false are not integers."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """The one check for trace integers (pids, uids, namespaces).
+
+    A JSON integer, so not true/false, and never negative.
+    """
+    if type(value) is not int:
         raise MalformedEvent(seq, f"{what} must be an integer")
+    if value < 0:
+        raise MalformedEvent(seq, f"{what} must not be negative")
     return value
 
 
@@ -218,7 +266,117 @@ def _priv_level(obj, key: str, seq) -> PrivLevel:
     caps = value.get("capability_set", [])
     if not isinstance(caps, list) or any(not isinstance(c, str) for c in caps):
         raise MalformedEvent(seq, f"{key}.capability_set must be a list of strings")
+    for cap in caps:
+        if cap not in CAPABILITIES:
+            raise MalformedEvent(seq, f"{key}.capability_set has unknown value {cap!r}")
     return PrivLevel(uid=uid, capability_set=frozenset(caps))
+
+
+def _parse_file_access(obj: dict, seq: int) -> FileAccess:
+    pid = _int_field(obj, "pid", seq)
+    path = _need(obj, "path", str, seq)
+    try:
+        path = normalize_event_path(path)
+    except ValueError as exc:
+        raise MalformedEvent(seq, str(exc)) from exc
+    requested = _need(obj, "requested", str, seq)
+    try:
+        requested = parse_access(requested)
+    except BadAccessFlags as exc:
+        raise MalformedEvent(seq, f"bad requested flags: {exc}") from exc
+    fs_kind = _enum_field(obj, "fs_kind", _FS_KINDS, seq) if "fs_kind" in obj else FsKind.REGULAR
+    owner_ns = obj.get("owner_mount_ns")
+    if owner_ns is not None:
+        owner_ns = _int(owner_ns, "owner_mount_ns", seq)
+    subject = obj.get("proc_subject_pid")
+    if subject is not None:
+        subject = _int(subject, "proc_subject_pid", seq)
+    return FileAccess(pid, path, requested, fs_kind, owner_ns, subject)
+
+
+def _parse_socket_op(obj: dict, seq: int) -> SocketOp:
+    return SocketOp(
+        _int_field(obj, "pid", seq),
+        _enum_field(obj, "family", _FAMILIES, seq),
+        _enum_field(obj, "op", _SOCK_OPS, seq),
+    )
+
+
+def _parse_ipc_op(obj: dict, seq: int) -> IpcOp:
+    return IpcOp(
+        _int_field(obj, "pid", seq),
+        _int_field(obj, "peer_pid", seq),
+        _enum_field(obj, "mechanism", _MECHANISMS, seq),
+    )
+
+
+def _parse_capability_use(obj: dict, seq: int) -> CapabilityUse:
+    possessed = _need(obj, "possessed", bool, seq)
+    return CapabilityUse(
+        _int_field(obj, "pid", seq),
+        _enum_field(obj, "capability", _CAPABILITIES, seq),
+        possessed,
+    )
+
+
+def _parse_commit_creds(obj: dict, seq: int) -> CommitCreds:
+    return CommitCreds(
+        _int_field(obj, "pid", seq),
+        _priv_level(obj, "old_priv", seq),
+        _priv_level(obj, "new_priv", seq),
+    )
+
+
+def _parse_switch_namespaces(obj: dict, seq: int) -> SwitchNamespaces:
+    return SwitchNamespaces(_int_field(obj, "pid", seq))
+
+
+def _parse_hardening_op(obj: dict, seq: int) -> HardeningOp:
+    return HardeningOp(
+        _int_field(obj, "pid", seq),
+        _enum_field(obj, "op", _HARDENING_OPS, seq),
+    )
+
+
+def _parse_fork(obj: dict, seq: int) -> Fork:
+    return Fork(_int_field(obj, "parent", seq), _int_field(obj, "child", seq))
+
+
+def _parse_exit(obj: dict, seq: int) -> Exit:
+    return Exit(_int_field(obj, "pid", seq))
+
+
+def _parse_confine(obj: dict, seq: int) -> Confine:
+    pid = _int_field(obj, "pid", seq)
+    name = _need(obj, "policy_name", str, seq)
+    mount_ns = ipc_ns = 0
+    if obj.get("ns_info") is not None:
+        ns = _need(obj, "ns_info", dict, seq)
+        extra = set(ns) - {"mount_ns", "ipc_ns"}
+        if extra:
+            raise MalformedEvent(seq, f"ns_info: unknown fields {sorted(extra)}")
+        mount_ns = _int(ns.get("mount_ns", 0), "ns_info.mount_ns", seq)
+        ipc_ns = _int(ns.get("ipc_ns", 0), "ns_info.ipc_ns", seq)
+    return Confine(pid, name, mount_ns, ipc_ns)
+
+
+# kind -> (parser, the fields an event of that kind may carry)
+_PARSERS = {
+    kind: (parser, frozenset({"seq", "kind"} | fields))
+    for kind, parser, fields in (
+        ("FileAccess", _parse_file_access,
+         {"pid", "path", "requested", "fs_kind", "owner_mount_ns", "proc_subject_pid"}),
+        ("SocketOp", _parse_socket_op, {"pid", "family", "op"}),
+        ("IpcOp", _parse_ipc_op, {"pid", "peer_pid", "mechanism"}),
+        ("CapabilityUse", _parse_capability_use, {"pid", "capability", "possessed"}),
+        ("CommitCreds", _parse_commit_creds, {"pid", "old_priv", "new_priv"}),
+        ("SwitchNamespaces", _parse_switch_namespaces, {"pid"}),
+        ("HardeningOp", _parse_hardening_op, {"pid", "op"}),
+        ("fork", _parse_fork, {"parent", "child"}),
+        ("exit", _parse_exit, {"pid"}),
+        ("confine", _parse_confine, {"pid", "policy_name", "ns_info"}),
+    )
+}
 
 
 def parse_trace_object(obj: dict, seq=None) -> TraceEvent:
@@ -229,96 +387,48 @@ def parse_trace_object(obj: dict, seq=None) -> TraceEvent:
     """
     if not isinstance(obj, dict):
         raise MalformedEvent(seq, "event must be a JSON object")
-    obj = dict(obj)
     if "seq" in obj:
-        seq = _int(obj.pop("seq"), "seq", seq)
+        value = obj["seq"]
+        if type(value) is not int:
+            raise MalformedEvent(seq, "seq must be an integer")
+        seq = value
     elif seq is None:
         raise MalformedEvent(None, "missing field 'seq'")
 
-    kind = obj.pop("kind", None)
+    kind = obj.get("kind")
     if kind is None:
         raise MalformedEvent(seq, "missing field 'kind'")
-    if kind not in _KIND_FIELDS:
+    entry = _PARSERS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
         raise MalformedEvent(seq, f"unknown event kind {kind!r}")
-    extra = set(obj) - _KIND_FIELDS[kind]
-    if extra:
-        raise MalformedEvent(seq, f"unknown fields for {kind}: {sorted(extra)}")
+    parser, fields = entry
+    if not obj.keys() <= fields:
+        raise MalformedEvent(seq, f"unknown fields for {kind}: {sorted(obj.keys() - fields)}")
+    return TraceEvent(seq, parser(obj, seq))
 
-    if kind == "FileAccess":
-        pid = _int_field(obj, "pid", seq)
-        path = _need(obj, "path", str, seq)
-        try:
-            path = normalize_event_path(path)
-        except ValueError as exc:
-            raise MalformedEvent(seq, str(exc)) from exc
-        try:
-            requested = parse_access(_need(obj, "requested", str, seq))
-        except Exception as exc:
-            raise MalformedEvent(seq, f"bad requested flags: {exc}") from exc
-        fs_kind = FsKind.REGULAR
-        if "fs_kind" in obj:
-            fs_kind = _enum_field(obj, "fs_kind", _FS_KINDS, seq)
-        owner_ns = None
-        if "owner_mount_ns" in obj and obj["owner_mount_ns"] is not None:
-            owner_ns = _int_field(obj, "owner_mount_ns", seq)
-        subj = None
-        if "proc_subject_pid" in obj and obj["proc_subject_pid"] is not None:
-            subj = _int_field(obj, "proc_subject_pid", seq)
-        return TraceEvent(seq, FileAccess(pid, path, requested, fs_kind, owner_ns, subj))
-    if kind == "SocketOp":
-        return TraceEvent(seq, SocketOp(
-            _int_field(obj, "pid", seq),
-            _enum_field(obj, "family", _FAMILIES, seq),
-            _enum_field(obj, "op", _SOCK_OPS, seq),
-        ))
-    if kind == "IpcOp":
-        return TraceEvent(seq, IpcOp(
-            _int_field(obj, "pid", seq),
-            _int_field(obj, "peer_pid", seq),
-            _enum_field(obj, "mechanism", _MECHANISMS, seq),
-        ))
-    if kind == "CapabilityUse":
-        possessed = _need(obj, "possessed", bool, seq)
-        return TraceEvent(seq, CapabilityUse(
-            _int_field(obj, "pid", seq),
-            _need(obj, "capability", str, seq),
-            possessed,
-        ))
-    if kind == "CommitCreds":
-        return TraceEvent(seq, CommitCreds(
-            _int_field(obj, "pid", seq),
-            _priv_level(obj, "old_priv", seq),
-            _priv_level(obj, "new_priv", seq),
-        ))
-    if kind == "SwitchNamespaces":
-        return TraceEvent(seq, SwitchNamespaces(_int_field(obj, "pid", seq)))
-    if kind == "HardeningOp":
-        return TraceEvent(seq, HardeningOp(
-            _int_field(obj, "pid", seq),
-            _enum_field(obj, "op", _HARDENING_OPS, seq),
-        ))
-    if kind == "fork":
-        return TraceEvent(seq, Fork(_int_field(obj, "parent", seq),
-                                    _int_field(obj, "child", seq)))
-    if kind == "exit":
-        return TraceEvent(seq, Exit(_int_field(obj, "pid", seq)))
-    # confine
-    pid = _int_field(obj, "pid", seq)
-    name = _need(obj, "policy_name", str, seq)
-    mount_ns = ipc_ns = 0
-    if "ns_info" in obj and obj["ns_info"] is not None:
-        ns = _need(obj, "ns_info", dict, seq)
-        extra = set(ns) - {"mount_ns", "ipc_ns"}
-        if extra:
-            raise MalformedEvent(seq, f"ns_info: unknown fields {sorted(extra)}")
-        mount_ns = _int(ns.get("mount_ns", 0), "ns_info.mount_ns", seq)
-        ipc_ns = _int(ns.get("ipc_ns", 0), "ns_info.ipc_ns", seq)
-    return TraceEvent(seq, Confine(pid, name, mount_ns, ipc_ns))
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _loads(line: str):
+    """``json.loads`` of a stripped line, minus its wrapper's whitespace scans.
+
+    Whatever the fast decode does not consume whole goes through
+    ``json.loads``, which raises its own error for the line.
+    """
+    try:
+        obj, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    if end != len(line):
+        return json.loads(line)
+    return obj
 
 
 def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
     """Parse a JSONL trace: header line first, then seq-ordered events."""
     events: list[TraceEvent] = []
+    append = events.append
     last_seq = None
     saw_header = False
     for lineno, line in enumerate(lines, start=1):
@@ -326,7 +436,7 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = _loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedEvent(last_seq, f"line {lineno}: invalid JSON: {exc}") from exc
         if not saw_header:
@@ -339,7 +449,7 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
         if last_seq is not None and event.seq <= last_seq:
             raise OutOfOrderTrace(event.seq)
         last_seq = event.seq
-        events.append(event)
+        append(event)
     if not saw_header:
         raise TraceError("empty trace: missing format header")
     return events
@@ -411,70 +521,56 @@ def replay(events: Iterable[TraceEvent], store: CompiledPolicyStore,
     if state is None:
         state = ContainerState(store)
     log = AuditLog(capacity=audit_capacity)
+    append = log.append
     killed: set[int] = set()
     last_seq = None
+    n_events = 0
 
-    for te in events:
-        if last_seq is not None and te.seq <= last_seq:
-            raise OutOfOrderTrace(te.seq)
-        last_seq = te.seq
-        log.events += 1
-        ev = te.event
+    for seq, ev in events:
+        if last_seq is not None and seq <= last_seq:
+            raise OutOfOrderTrace(seq)
+        last_seq = seq
+        n_events += 1
+
+        if isinstance(ev, _HOOK_TYPES):
+            if ev.pid in killed:
+                append(AuditRecord(seq, ev, V_UNCONFINED, R_KILLED_EVENT))
+                continue
+            decision = decide(ev, state, store)
+            append(AuditRecord(seq, ev, *decision))
+            if decision.verdict_code == V_KILL:
+                killed.add(ev.pid)
+                state.on_exit(ev.pid)
+            continue
 
         if isinstance(ev, Confine):
             if ev.pid in killed:
-                log.append(AuditRecord(te.seq, None, None, ev.summary(), "Error",
-                                       "confine refused: pid was killed earlier in trace"))
+                append(AuditRecord(seq, ev, O_ERROR, R_KILLED_CONFINE))
                 continue
             try:
                 container = state.confine(ev.pid, ev.policy_name,
                                           mount_ns=ev.mount_ns, ipc_ns=ev.ipc_ns)
             except StateError as exc:
-                log.append(AuditRecord(te.seq, None, None, ev.summary(), "Error", str(exc)))
+                append(AuditRecord(seq, ev, O_ERROR, R_STATE_ERROR, str(exc)))
                 continue
-            log.append(AuditRecord(te.seq, container.container_id, ev.policy_name,
-                                   ev.summary(), "Created",
-                                   f"container {container.container_id} created"))
-            continue
-
-        if isinstance(ev, Fork):
+            cid = container.container_id
+            append(AuditRecord(seq, ev, O_CREATED, R_CREATED, cid, cid, ev.policy_name))
+        elif isinstance(ev, Fork):
             if ev.child in killed:
-                log.append(AuditRecord(te.seq, None, None, ev.summary(), "Error",
-                                       "fork refused: child pid was killed earlier in trace"))
+                append(AuditRecord(seq, ev, O_ERROR, R_KILLED_FORK))
                 continue
             try:
                 state.on_fork(ev.parent, ev.child)
             except StateError as exc:
-                log.append(AuditRecord(te.seq, None, None, ev.summary(), "Error", str(exc)))
-            continue
-
-        if isinstance(ev, Exit):
+                append(AuditRecord(seq, ev, O_ERROR, R_STATE_ERROR, str(exc)))
+        elif isinstance(ev, Exit):
             removed = state.on_exit(ev.pid)
             if removed is not None:
-                meta = store.meta(removed.policy_id)
-                log.append(AuditRecord(te.seq, removed.container_id, meta.name,
-                                       ev.summary(), "Removed",
-                                       f"container {removed.container_id} removed"))
-            continue
-
-        # mediated events
-        if ev.pid in killed:
-            log.append(AuditRecord(te.seq, None, None, ev.summary(), "Unconfined",
-                                   "warning: event from pid killed earlier in trace"))
-            continue
-        decision = decide(ev, state, store)
-        log.count_decision(decision)
-        # build the record only if the ring has room (drops are just counted)
-        if len(log.records) < log.capacity:
-            log.records.append(AuditRecord(
-                te.seq, decision.container_id, decision.policy, ev.summary(),
-                decision.verdict.value, decision.audit_reason(),
-                taint_transition=decision.taint_transition,
-            ))
+                cid = removed.container_id
+                append(AuditRecord(seq, ev, O_REMOVED, R_REMOVED, cid, cid,
+                                   store.meta(removed.policy_id).name))
         else:
-            log.dropped += 1
-        if decision.verdict is Verdict.KILL:
-            killed.add(ev.pid)
-            state.on_exit(ev.pid)
+            raise TypeError(f"replay() cannot apply event {ev!r}")
 
+    log.events = n_events
     return state, log

@@ -255,8 +255,8 @@ def oracle_decide(event, world: OracleWorld) -> tuple[str, bool]:
     default_allow = doc.default == DefaultMode.ALLOW
 
     if isinstance(event, CommitCreds):
-        escalates = (event.new_priv.uid == 0 and event.old_priv.uid != 0) or (
-            event.new_priv.capability_set > event.old_priv.capability_set)
+        escalates = (event.new_priv.uid == 0 and event.old_priv.uid != 0) or bool(
+            event.new_priv.capability_set - event.old_priv.capability_set)
         return (KILL if escalates else ALLOW), False
     if isinstance(event, (SwitchNamespaces, HardeningOp)):
         return DENY, False

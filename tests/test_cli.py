@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output shape, environment override."""
 
 import json
+import logging
 
 import pytest
 
@@ -109,6 +110,47 @@ def test_run_malformed_event_exits_3(policy_dir, tmp_path):
     trace = tmp_path / "t.jsonl"
     _write_trace(trace, [{"seq": 1, "kind": "exit", "pid": 1, "oops": 1}])
     assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 3
+
+
+def test_run_negative_pid_exits_3(policy_dir, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    _write_trace(trace, [{"seq": 1, "kind": "confine", "pid": -5, "policy_name": "hello_minimal"}])
+    assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 3
+    assert "pid must not be negative" in capsys.readouterr().err
+
+
+def test_run_unknown_capability_exits_3(policy_dir, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    _write_trace(trace, [{"seq": 1, "kind": "CapabilityUse", "pid": 5,
+                          "capability": "CAP_TELEPATHY", "possessed": True}])
+    assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 3
+    assert "CAP_TELEPATHY" in capsys.readouterr().err
+
+
+def test_run_verbose_logs_milestones(policy_dir, tmp_path, capsys, caplog):
+    trace = tmp_path / "t.jsonl"
+    _write_trace(trace, [
+        {"seq": 1, "kind": "confine", "pid": 1, "policy_name": "hello_minimal"},
+        {"seq": 2, "kind": "FileAccess", "pid": 1, "path": "/dev/tty", "requested": "r"},
+    ])
+    caplog.set_level(logging.INFO, logger="bpfcontain")
+    assert run_cli("--policy-dir", str(policy_dir), "--capacity", "audit=1", "-v",
+                   "run", "--trace", str(trace)) == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "bpfcontain"]
+    assert any(m.startswith("loaded 2 policies from ") for m in messages)
+    assert any(m.startswith("capacities: file=256,") and m.endswith("audit=1") for m in messages)
+    assert any(m.startswith("store entries: file=0,") and "device=2" in m for m in messages)
+    assert any(m.startswith("parsed 2 events from ") for m in messages)
+    assert "replayed 2 events: 1 audit records kept, 1 dropped, 1 containers live" in messages
+    # stdout is the summary line alone
+    assert capsys.readouterr().out == "events=2 allows=1 denies=0 kills=0 taints=0 dropped=1\n"
+
+
+def test_run_default_verbosity_logs_nothing(policy_dir, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    _write_trace(trace, [{"seq": 1, "kind": "confine", "pid": 1, "policy_name": "hello_minimal"}])
+    assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_run_boolean_ns_info_exits_3(policy_dir, tmp_path):

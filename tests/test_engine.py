@@ -115,6 +115,15 @@ def test_commit_creds_capability_gain_kills():
     assert d.verdict is Verdict.KILL
 
 
+def test_commit_creds_capability_swap_kills():
+    # same uid, and the new set is no superset of the old, but CAP_SYS_ADMIN is gained
+    store, state, _ = _one_container(MINIMAL)
+    d = decide(CommitCreds(100, PrivLevel(1000, frozenset({"CAP_KILL"})),
+                           PrivLevel(1000, frozenset({"CAP_SYS_ADMIN"}))), state, store)
+    assert d.verdict is Verdict.KILL
+    assert d.explain() == "Kill: privilege escalation in commit_creds (capability gain)"
+
+
 def test_commit_creds_without_escalation_passes():
     store, state, _ = _one_container(MINIMAL)
     d = decide(CommitCreds(100, PrivLevel(1000), PrivLevel(1000)), state, store)
@@ -122,6 +131,10 @@ def test_commit_creds_without_escalation_passes():
     # dropping back to the same capability set is not a gain
     d = decide(CommitCreds(100, PrivLevel(0, frozenset({"CAP_KILL"})),
                            PrivLevel(0, frozenset({"CAP_KILL"}))), state, store)
+    assert d.verdict is Verdict.ALLOW
+    # nor is dropping a capability
+    d = decide(CommitCreds(100, PrivLevel(1000, frozenset({"CAP_KILL", "CAP_CHOWN"})),
+                           PrivLevel(1000, frozenset({"CAP_KILL"}))), state, store)
     assert d.verdict is Verdict.ALLOW
 
 

@@ -1,0 +1,199 @@
+"""Property tests: the trace wire format, the parser's error contract, the
+canonical-path shortcut and the audit line renderer."""
+
+import io
+import json
+import posixpath
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bpfcontain.core import T_DEV, T_FILE, T_NET, V_ALLOW, V_DENY
+from bpfcontain.engine import R_ALLOW_RULE, R_DEFAULT, R_STATE_ERROR
+from bpfcontain.errors import TraceError
+from bpfcontain.events import (
+    CapabilityUse,
+    CommitCreds,
+    FileAccess,
+    FsKind,
+    HardeningKind,
+    HardeningOp,
+    IpcMechanism,
+    IpcOp,
+    PrivLevel,
+    SocketFamily,
+    SocketOp,
+    SocketOpKind,
+    SwitchNamespaces,
+)
+from bpfcontain.policy import CAPABILITIES, AccessFlags, normalize_event_path, parse_access
+from bpfcontain.trace import (
+    O_ERROR,
+    AuditRecord,
+    Confine,
+    Exit,
+    Fork,
+    TraceEvent,
+    event_to_object,
+    parse_trace,
+    write_trace,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+ids = st.integers(min_value=0, max_value=2**63)
+component = st.text(st.characters(blacklist_characters="/"), min_size=1).filter(
+    lambda c: c not in (".", ".."))
+canonical_paths = st.one_of(
+    st.just("/"), st.lists(component, min_size=1, max_size=6).map(lambda cs: "/" + "/".join(cs)))
+access = st.integers(min_value=1, max_value=15).map(AccessFlags)
+capability_sets = st.frozensets(st.sampled_from(sorted(CAPABILITIES)), max_size=4)
+priv_levels = st.builds(PrivLevel, ids, capability_sets)
+
+hook_events = st.one_of(
+    st.builds(FileAccess, ids, canonical_paths, access, st.sampled_from(FsKind),
+              st.none() | ids, st.none() | ids),
+    st.builds(SocketOp, ids, st.sampled_from(SocketFamily), st.sampled_from(SocketOpKind)),
+    st.builds(IpcOp, ids, ids, st.sampled_from(IpcMechanism)),
+    st.builds(CapabilityUse, ids, st.sampled_from(sorted(CAPABILITIES)), st.booleans()),
+    st.builds(CommitCreds, ids, priv_levels, priv_levels),
+    st.builds(SwitchNamespaces, ids),
+    st.builds(HardeningOp, ids, st.sampled_from(HardeningKind)),
+)
+lifecycle_events = st.one_of(
+    st.builds(Confine, ids, st.text(), ids, ids),
+    st.builds(Fork, ids, ids),
+    st.builds(Exit, ids),
+)
+any_event = hook_events | lifecycle_events
+
+
+@st.composite
+def traces(draw):
+    events = draw(st.lists(any_event, max_size=12))
+    seqs = sorted(draw(st.sets(st.integers(-2**40, 2**40), min_size=len(events),
+                               max_size=len(events))))
+    return [TraceEvent(seq, ev) for seq, ev in zip(seqs, events)]
+
+
+def _round_trip(events):
+    buf = io.StringIO()
+    write_trace(events, buf)
+    return parse_trace(buf.getvalue().splitlines())
+
+
+@PROPERTY_SETTINGS
+@given(traces())
+def test_write_then_parse_is_identity(events):
+    assert _round_trip(events) == events
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _field_paths(obj, prefix=()):
+    """Every key path in a wire object, nested objects included."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_lines(draw):
+    obj = event_to_object(TraceEvent(1, draw(any_event)))
+    path = draw(st.sampled_from(list(_field_paths(obj))))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    action = draw(st.sampled_from(("replace", "delete", "add")))
+    if action == "replace":
+        target[path[-1]] = draw(json_values)
+    elif action == "delete":
+        del target[path[-1]]
+    else:
+        target[draw(st.text(max_size=8))] = draw(json_values)
+    return json.dumps(obj)
+
+
+@PROPERTY_SETTINGS
+@given(mutated_lines())
+def test_mutated_line_parses_or_raises_trace_error(line):
+    # a mutation may leave the line valid; anything else must be a TraceError
+    try:
+        parse_trace(['{"format":1}', line])
+    except TraceError:
+        pass
+
+
+@PROPERTY_SETTINGS
+@given(any_event, st.data())
+def test_dropping_a_required_field_is_a_trace_error(event, data):
+    obj = event_to_object(TraceEvent(1, event))
+    optional = {"seq", "fs_kind", "owner_mount_ns", "proc_subject_pid", "ns_info"}
+    key = data.draw(st.sampled_from(sorted(set(obj) - optional)))
+    del obj[key]
+    with pytest.raises(TraceError):
+        parse_trace(['{"format":1}', json.dumps(obj)])
+
+
+@PROPERTY_SETTINGS
+@given(st.text(st.sampled_from("/.ab"), max_size=12).map(lambda p: "/" + p))
+def test_canonical_path_shortcut_matches_normpath(path):
+    expected = posixpath.normpath(path)
+    if expected.startswith("//"):
+        expected = expected[1:]
+    assert normalize_event_path(path) == expected
+
+
+@given(st.text(st.sampled_from("rwax"), min_size=1, max_size=6))
+def test_parse_access_ors_the_flags(flags):
+    expected = AccessFlags(0)
+    for ch in flags:
+        expected |= {"r": AccessFlags.READ, "w": AccessFlags.WRITE,
+                     "a": AccessFlags.APPEND, "x": AccessFlags.EXECUTE}[ch]
+    parsed = parse_access(flags)
+    assert parsed == expected and type(parsed) is AccessFlags
+
+
+# text that exercises JSON escaping: quotes, backslashes, controls, non-ASCII
+awkward_text = st.text(st.sampled_from('a"\\\n\t\x00\x1f\x7fé \U0001f600/ '), max_size=10) | st.text()
+
+
+@st.composite
+def audit_records(draw):
+    seq = draw(st.integers(-2**63, 2**63))
+    cid = draw(st.none() | ids)
+    policy = draw(st.none() | awkward_text)
+    path = "/" + draw(awkward_text)
+    source = FileAccess(1, path, draw(access))
+    taint = draw(st.none() | st.just((T_FILE, path, 1)) | st.just((T_NET, 3, 3)))
+    kind = draw(st.sampled_from(("rule", "default", "error")))
+    if kind == "rule":
+        return AuditRecord(seq, source, V_ALLOW, R_ALLOW_RULE,
+                           draw(st.just((T_FILE, path, 3)) | st.just((T_DEV, 0, 1))),
+                           cid, policy, taint)
+    if kind == "default":
+        return AuditRecord(seq, source, draw(st.sampled_from((V_ALLOW, V_DENY))), R_DEFAULT,
+                           None, cid, policy, taint)
+    return AuditRecord(seq, source, O_ERROR, R_STATE_ERROR, draw(awkward_text), cid, policy)
+
+
+@PROPERTY_SETTINGS
+@given(audit_records())
+def test_audit_line_matches_json_dumps(record):
+    assert record.to_json() == json.dumps({
+        "seq": record.seq,
+        "container_id": record.container_id,
+        "policy": record.policy,
+        "event": record.event,
+        "decision": record.decision,
+        "reason": record.reason,
+        "taint_transition": record.taint_transition,
+    }, separators=(",", ":"))

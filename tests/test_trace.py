@@ -219,6 +219,69 @@ def test_trace_rejects_boolean_integers():
             parse_trace(_lines(obj))
 
 
+@pytest.mark.parametrize("obj, what", [
+    ({"seq": 1, "kind": "exit", "pid": -1}, "pid"),
+    ({"seq": 1, "kind": "IpcOp", "pid": 1, "peer_pid": -2, "mechanism": "Signal"}, "peer_pid"),
+    ({"seq": 1, "kind": "fork", "parent": -1, "child": 2}, "parent"),
+    ({"seq": 1, "kind": "fork", "parent": 1, "child": -2}, "child"),
+    ({"seq": 1, "kind": "FileAccess", "pid": 1, "path": "/proc/1/status", "requested": "r",
+      "fs_kind": "Procfs", "proc_subject_pid": -1}, "proc_subject_pid"),
+    ({"seq": 1, "kind": "FileAccess", "pid": 1, "path": "/x", "requested": "r",
+      "fs_kind": "Overlayfs", "owner_mount_ns": -3}, "owner_mount_ns"),
+    ({"seq": 1, "kind": "confine", "pid": 5, "policy_name": "p",
+      "ns_info": {"mount_ns": -1}}, "ns_info.mount_ns"),
+    ({"seq": 1, "kind": "confine", "pid": 5, "policy_name": "p",
+      "ns_info": {"ipc_ns": -1}}, "ns_info.ipc_ns"),
+    ({"seq": 1, "kind": "CommitCreds", "pid": 1,
+      "old_priv": {"uid": -1}, "new_priv": {"uid": 0}}, "old_priv.uid"),
+    ({"seq": 1, "kind": "CommitCreds", "pid": 1,
+      "old_priv": {"uid": 0}, "new_priv": {"uid": -1}}, "new_priv.uid"),
+])
+def test_trace_rejects_negative_integers(obj, what):
+    with pytest.raises(MalformedEvent) as exc:
+        parse_trace(_lines(obj))
+    assert exc.value.why == f"{what} must not be negative"
+
+
+def test_trace_allows_negative_seq():
+    [te] = parse_trace(_lines({"seq": -4, "kind": "exit", "pid": 0}))
+    assert te == TraceEvent(-4, Exit(0))
+
+
+def test_trace_rejects_unknown_capability_names():
+    with pytest.raises(MalformedEvent) as exc:
+        parse_trace(_lines({"seq": 1, "kind": "CapabilityUse", "pid": 1,
+                            "capability": "CAP_NET_RAWR", "possessed": True}))
+    assert exc.value.why == "field 'capability' has unknown value 'CAP_NET_RAWR'"
+    # the policy vocabulary's spellings only: no lower case, no missing prefix
+    for name in ("cap_net_raw", "NET_RAW"):
+        with pytest.raises(MalformedEvent):
+            parse_trace(_lines({"seq": 1, "kind": "CapabilityUse", "pid": 1,
+                                "capability": name, "possessed": True}))
+    with pytest.raises(MalformedEvent) as exc:
+        parse_trace(_lines({"seq": 1, "kind": "CommitCreds", "pid": 1,
+                            "old_priv": {"uid": 0, "capability_set": ["CAP_KILL"]},
+                            "new_priv": {"uid": 0, "capability_set": ["CAP_KILL", "CAP_GOD"]}}))
+    assert exc.value.why == "new_priv.capability_set has unknown value 'CAP_GOD'"
+
+
+def test_trace_missing_requested_is_reported_as_missing():
+    with pytest.raises(MalformedEvent) as exc:
+        parse_trace(_lines({"seq": 1, "kind": "FileAccess", "pid": 1, "path": "/x"}))
+    assert exc.value.why == "missing field 'requested'"
+    with pytest.raises(MalformedEvent) as exc:
+        parse_trace(_lines({"seq": 1, "kind": "FileAccess", "pid": 1, "path": "/x",
+                            "requested": ""}))
+    assert exc.value.why == "bad requested flags: bad access flag string: ''"
+
+
+def test_trace_rejects_non_string_kind():
+    for kind in (["exit"], {"k": 1}, 7):
+        with pytest.raises(MalformedEvent) as exc:
+            parse_trace(_lines({"seq": 1, "kind": kind, "pid": 1}))
+        assert exc.value.why == f"unknown event kind {kind!r}"
+
+
 def test_trace_rejects_out_of_order_seq():
     lines = _lines({"seq": 2, "kind": "exit", "pid": 1},
                    {"seq": 1, "kind": "exit", "pid": 2})
