@@ -163,6 +163,9 @@ def cmd_run(args) -> int:
     except TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRACE
+    except UnicodeDecodeError as exc:
+        print(f"error: trace is not valid UTF-8: {exc}", file=sys.stderr)
+        return EXIT_TRACE
     log.info("parsed %d events from %s", len(events), args.trace)
 
     state = ContainerState(store, max_containers=containers)

@@ -78,7 +78,8 @@ F_ALLOW = 1
 F_DENY = 2
 F_TAINT = 4
 
-_MASK_CATEGORIES = ("file", "subdir", "filesystem", "device")
+# rule list -> its flag bit
+_LIST_FLAGS = {"allow": F_ALLOW, "deny": F_DENY, "taint": F_TAINT}
 
 
 class CompiledPolicyStore:
@@ -196,39 +197,15 @@ class CompiledPolicyStore:
         return self._capability.get((pid, capability), 0)
 
     # Read-only views (the mutation API above is the only sanctioned writer).
-    def _path_view(self, category: str):
-        per_policy = self._path_maps[category]
-        return MappingProxyType({
-            pid: MappingProxyType(entries) for pid, entries in per_policy.items()
-        })
-
-    @property
-    def file_rules(self):
-        return self._path_view("file")
-
-    @property
-    def subdir_rules(self):
-        return self._path_view("subdir")
-
-    @property
-    def filesystem_rules(self):
-        return self._path_view("filesystem")
-
     @property
     def device_rules(self):
-        return self._path_view("device")
+        return MappingProxyType({
+            pid: MappingProxyType(entries) for pid, entries in self._path_maps["device"].items()
+        })
 
     @property
     def network_rules(self):
         return MappingProxyType(self._network)
-
-    @property
-    def ipc_rules(self):
-        return MappingProxyType(self._ipc)
-
-    @property
-    def capability_rules(self):
-        return MappingProxyType(self._capability)
 
     # Internal tables handed to the decision kernels (hot path; do not mutate).
     def kernel_tables(self, pid: int):
@@ -238,10 +215,6 @@ class CompiledPolicyStore:
             self._path_maps["filesystem"].get(pid),
             self._path_maps["device"].get(pid),
         )
-
-
-def _list_flag(which: str) -> int:
-    return {"allow": F_ALLOW, "deny": F_DENY, "taint": F_TAINT}[which]
 
 
 def compile_policies(
@@ -258,9 +231,6 @@ def compile_policies(
     store = CompiledPolicyStore(capacities)
     for doc in docs:
         pid = policy_id(doc.name)
-        existing = store.meta(pid)
-        if existing is not None and existing.name != doc.name:
-            raise PolicyIdCollision(existing.name, doc.name, pid)
         store.put_meta(pid, PolicyMeta(
             name=doc.name,
             default_allow=doc.default == DefaultMode.ALLOW,
@@ -287,9 +257,9 @@ def compile_policies(
                     store.merge_network_rule(pid, **{which: int(rule.categories)})
                 elif isinstance(rule, IpcRule):
                     peer = policy_id(rule.other_policy_name)
-                    store.merge_ipc_rule(pid, peer, _list_flag(which))
+                    store.merge_ipc_rule(pid, peer, _LIST_FLAGS[which])
                 elif isinstance(rule, CapabilityRule):
-                    store.merge_capability_rule(pid, rule.capability_name, _list_flag(which))
+                    store.merge_capability_rule(pid, rule.capability_name, _LIST_FLAGS[which])
                 else:  # pragma: no cover - parser produces only the kinds above
                     raise TypeError(f"unhandled rule type: {rule!r}")
     return store.seal()

@@ -14,6 +14,9 @@ stages and reason text.
 
 from __future__ import annotations
 
+from .events import FsKind, SocketFamily, SocketOpKind
+from .policy import NET_ALL, AccessFlags, DeviceKind, NetCategory
+
 # verdicts
 V_ALLOW = 0
 V_DENY = 1
@@ -41,37 +44,30 @@ R_BPFFS = 8
 R_NET_FAMILY = 9
 R_UNIX_IPC = 10
 
-# subject_rel values for procfs/sysfs events
-SUBJ_NA = 0
-SUBJ_OWN = 1
-SUBJ_FOREIGN = 2
-
-# fs kinds (match events.FsKind)
-_REGULAR, _PROCFS, _SYSFS, _OVERLAYFS, _BPFFS = 0, 1, 2, 3, 4
-# access bits (match policy.AccessFlags)
-_WRITE_OR_APPEND = 2 | 4
-# device kinds (match policy.DeviceKind)
-_DEV_TTY, _DEV_RANDOM, _DEV_NULL, _DEV_ZERO = 0, 1, 2, 3
-# socket families / ops (match events.SocketFamily / SocketOpKind)
-_FAM_UNIX, _FAM_OTHER = 2, 3
-_OP_CREATE = 0
-_NET_ALL = 15
+# Kernel constants, taken from the enums the engine passes in as ints.
+_BPFFS = int(FsKind.BPFFS)
+_WRITE_OR_APPEND = int(AccessFlags.WRITE | AccessFlags.APPEND)
+_DEV_TTY, _DEV_RANDOM, _DEV_NULL, _DEV_ZERO = (
+    int(DeviceKind.TTY), int(DeviceKind.RANDOM), int(DeviceKind.NULL), int(DeviceKind.ZERO))
+_FAM_UNIX, _FAM_OTHER = int(SocketFamily.UNIX), int(SocketFamily.OTHER)
+_OP_CREATE = int(SocketOpKind.CREATE)
+_NET_ALL = int(NET_ALL)
 
 # Maximum path components a subdir rule may reach below its root: the rule
 # grants 8 nested subdirectory levels, plus the final component itself.
 _SUBDIR_REACH = 9
 
-# op -> required category bit(s); CREATE is special-cased
-_OP_CATS = (
-    15,  # CREATE: any category justifies socket creation
-    2,   # BIND -> server
-    2,   # LISTEN -> server
-    2,   # ACCEPT -> server
-    1,   # CONNECT -> client
-    4,   # SEND -> send
-    8,   # RECEIVE -> receive
-    2,   # SHUTDOWN -> server
-)
+# op -> required category bit(s), indexed by SocketOpKind; CREATE is special-cased
+_OP_CATS = tuple(int({
+    SocketOpKind.CREATE: NET_ALL,  # any category justifies socket creation
+    SocketOpKind.BIND: NetCategory.SERVER,
+    SocketOpKind.LISTEN: NetCategory.SERVER,
+    SocketOpKind.ACCEPT: NetCategory.SERVER,
+    SocketOpKind.CONNECT: NetCategory.CLIENT,
+    SocketOpKind.SEND: NetCategory.SEND,
+    SocketOpKind.RECEIVE: NetCategory.RECEIVE,
+    SocketOpKind.SHUTDOWN: NetCategory.SERVER,
+}[op]) for op in SocketOpKind)
 
 
 def classify_device(path):
@@ -89,12 +85,14 @@ def classify_device(path):
 
 def decide_file_access(file_t, subdir_t, fs_t, dev_t,
                        default_allow, tainted,
-                       path, requested, fs_kind, subject_rel, overlay_owned):
+                       path, requested, fs_kind, implicit):
     """Stages 3-8 of the pipeline for one file access.
 
-    ``file_t``..``dev_t`` are this policy's per-category tables (or None),
-    ``subject_rel``/``overlay_owned`` carry the container-relative facts the
-    engine precomputed (procfs subject membership, overlay ns ownership).
+    ``file_t``..``dev_t`` are this policy's per-category tables (or None).
+    ``implicit`` is the implicit filesystem policy the engine derived from
+    the container: 0 for none, else the reason it leads to (``R_PROC_SELF``
+    for an own procfs/sysfs entry, ``R_PROC_FOREIGN`` for a foreign one,
+    ``R_OVERLAY`` for an overlay the container owns).
     """
     # pinned-object protection: mutating bpffs is hardening, not policy
     if fs_kind == _BPFFS and requested & _WRITE_OR_APPEND:
@@ -140,17 +138,7 @@ def decide_file_access(file_t, subdir_t, fs_t, dev_t,
         if dev_key >= 0:
             dev_hit = dev_t.get(dev_key)
 
-    # implicit filesystem policy
-    implicit_allow = 0  # 0 none, 1 own procfs/sysfs entry, 2 owned overlay
-    foreign = False
-    if fs_kind == _PROCFS or fs_kind == _SYSFS:
-        if subject_rel == SUBJ_OWN:
-            implicit_allow = 1
-        elif subject_rel == SUBJ_FOREIGN:
-            foreign = True
-    elif fs_kind == _OVERLAYFS and overlay_owned:
-        implicit_allow = 2
-
+    foreign = implicit == R_PROC_FOREIGN
     if foreign:
         # only an explicit file/subdir grant covering the request rescues it
         granted = 0
@@ -193,10 +181,8 @@ def decide_file_access(file_t, subdir_t, fs_t, dev_t,
     if dev_hit is not None and dev_hit[1] & requested:
         return (V_DENY, R_DENY_RULE, (T_DEV, dev_key, dev_hit[1] & requested), taint_detail)
 
-    if implicit_allow == 1:
-        return (V_ALLOW, R_PROC_SELF, None, taint_detail)
-    if implicit_allow == 2:
-        return (V_ALLOW, R_OVERLAY, None, taint_detail)
+    if implicit == R_PROC_SELF or implicit == R_OVERLAY:
+        return (V_ALLOW, implicit, None, taint_detail)
 
     # explicit allow: the most specific tier with a grant fixes the granted
     # set; broader tiers cannot widen it (File > Subdir > Filesystem > Device)

@@ -28,16 +28,10 @@ from .core import (
     R_PROC_FOREIGN,
     R_PROC_SELF,
     R_UNIX_IPC,
-    SUBJ_FOREIGN,
-    SUBJ_NA,
-    SUBJ_OWN,
     T_CAP,
     T_DEV,
-    T_FILE,
-    T_FS,
     T_IPC,
     T_NET,
-    T_SUBDIR,
     V_ALLOW,
     V_DENY,
     V_KILL,
@@ -136,51 +130,37 @@ _REASONS = {
 }
 
 
-def _describe_entry(tier: int, key, mask: int) -> str:
-    if tier == T_FILE:
-        return f"file rule {key} {format_access(mask)}"
-    if tier == T_SUBDIR:
-        return f"subdir rule {key} {format_access(mask)}"
-    if tier == T_FS:
-        return f"filesystem rule {key} {format_access(mask)}"
-    if tier == T_DEV:
-        return f"device rule {format_device(key)} {format_access(mask)}"
-    if tier == T_NET:
-        return f"network rule {format_net(key)}"
-    raise ValueError(f"unknown tier {tier}")
+# rule tier (``T_*``, in order) -> the noun its reasons open with
+_TIER_NOUNS = ("file", "subdir", "filesystem", "device", "network", "ipc", "capability")
 
 
-def _describe_taint(tier: int, key, mask: int) -> str:
-    # shorter phrasing used inside "tainted by rule ..." prefixes
-    if tier == T_DEV:
-        return f"{format_device(key)} {format_access(mask)}"
-    if tier == T_FILE:
-        return f"file {key} {format_access(mask)}"
-    if tier == T_SUBDIR:
-        return f"subdir {key} {format_access(mask)}"
-    if tier == T_FS:
-        return f"filesystem {key} {format_access(mask)}"
+def _rule_text(tier: int, key, mask: int) -> str:
+    """What a rule entry names: ``/etc rw``, ``tty rw``, ``client send``, a name."""
     if tier == T_NET:
-        return f"network {format_net(key)}"
-    if tier == T_IPC:
-        return f"ipc {key}"
-    if tier == T_CAP:
-        return f"capability {key}"
-    raise ValueError(f"unknown tier {tier}")
+        return format_net(key)
+    if tier == T_IPC or tier == T_CAP:
+        return key
+    if tier == T_DEV:
+        key = format_device(key)
+    return f"{key} {format_access(mask)}"
 
 
 def reason_text(verdict_code: int, code: int, detail=None, policy: str | None = None,
                 taint_detail=None) -> str:
     """The audit reason for a decision's codes, e.g. ``device rule tty rw``."""
     if code == R_ALLOW_RULE or code == R_DENY_RULE:
-        reason = _describe_entry(*detail)
+        reason = f"{_TIER_NOUNS[detail[0]]} rule {_rule_text(*detail)}"
     elif code == R_DEFAULT:
         reason = "default allow" if verdict_code == V_ALLOW else "no matching rule under default deny"
     else:
         reason = _REASONS[code][1].format(detail=detail, policy=policy)
     if taint_detail is None:
         return reason
-    return f"tainted by rule {_describe_taint(*taint_detail)}, then {reason}"
+    tier = taint_detail[0]
+    trigger = _rule_text(*taint_detail)
+    if tier != T_DEV:  # a device trigger names only the device
+        trigger = f"{_TIER_NOUNS[tier]} {trigger}"
+    return f"tainted by rule {trigger}, then {reason}"
 
 
 class Decision(NamedTuple):
@@ -204,10 +184,6 @@ class Decision(NamedTuple):
         return _VERDICTS[self.verdict_code]
 
     @property
-    def allowed(self) -> bool:
-        return self.verdict_code == V_ALLOW
-
-    @property
     def stage(self) -> str:
         return _REASONS[self.code][0]
 
@@ -218,12 +194,6 @@ class Decision(NamedTuple):
     @property
     def taint_transition(self) -> bool:
         return self.taint_detail is not None
-
-    @property
-    def taint_reason(self) -> str | None:
-        if self.taint_detail is None:
-            return None
-        return _describe_taint(*self.taint_detail)
 
     def explain(self) -> str:
         """Human-readable outcome, e.g. ``Allow: device rule tty rw``."""
@@ -262,22 +232,18 @@ def decide(event: HookEvent, state: ContainerState,
     # taint state or default mode
     if isinstance(event, FileAccess):
         fs_kind = event.fs_kind
-        subject_rel = SUBJ_NA
-        overlay_owned = False
+        implicit = 0
         if fs_kind == FsKind.PROCFS or fs_kind == FsKind.SYSFS:
-            if event.proc_subject_pid is not None and event.proc_subject_pid in container.pid_set:
-                subject_rel = SUBJ_OWN
-            else:
-                subject_rel = SUBJ_FOREIGN
-        elif fs_kind == FsKind.OVERLAYFS:
-            overlay_owned = (event.owner_mount_ns is not None
-                             and event.owner_mount_ns == container.mount_ns)
+            implicit = (R_PROC_SELF if event.proc_subject_pid in container.pid_set
+                        else R_PROC_FOREIGN)
+        elif (fs_kind == FsKind.OVERLAYFS and event.owner_mount_ns is not None
+              and event.owner_mount_ns == container.mount_ns):
+            implicit = R_OVERLAY
         file_t, subdir_t, fs_t, dev_t = store.kernel_tables(container.policy_id)
         verdict, code, detail, taint_detail = core.decide_file_access(
             file_t, subdir_t, fs_t, dev_t,
             meta.default_allow, container.tainted,
-            event.path, int(event.requested), int(fs_kind),
-            subject_rel, overlay_owned,
+            event.path, int(event.requested), int(fs_kind), implicit,
         )
         if code == R_PROC_SELF or code == R_PROC_FOREIGN:
             detail = "procfs" if fs_kind == FsKind.PROCFS else "sysfs"

@@ -136,6 +136,12 @@ CAPABILITIES = frozenset({
 })
 
 
+def _normpath(path: str) -> str:
+    norm = posixpath.normpath(path)
+    # POSIX preserves a leading double slash; here it is the root like any other
+    return norm[1:] if norm.startswith("//") else norm
+
+
 def normalize_rule_path(path: str) -> str:
     """Lexically normalize an absolute rule path; ``..`` components are rejected."""
     if not isinstance(path, str) or not path:
@@ -144,10 +150,7 @@ def normalize_rule_path(path: str) -> str:
         raise InvalidPath(path, "must be absolute")
     if ".." in path.split("/"):
         raise InvalidPath(path, "'..' components are not allowed in rules")
-    norm = posixpath.normpath(path)
-    if norm.startswith("//"):  # POSIX preserves a leading double slash
-        norm = norm[1:]
-    return norm
+    return _normpath(path)
 
 
 def normalize_event_path(path: str) -> str:
@@ -157,10 +160,7 @@ def normalize_event_path(path: str) -> str:
     # already canonical: no empty, "." or ".." component and no trailing slash
     if "//" not in path and "/." not in path and (path[-1] != "/" or path == "/"):
         return path
-    norm = posixpath.normpath(path)
-    if norm.startswith("//"):
-        norm = norm[1:]
-    return norm
+    return _normpath(path)
 
 
 class DefaultMode(IntEnum):
@@ -448,11 +448,12 @@ def load_policy_dir(path: str) -> list[tuple[str, PolicyDocument]]:
     )
     docs: list[tuple[str, PolicyDocument]] = []
     for name in entries:
-        full = os.path.join(path, name)
-        with open(full, "r", encoding="utf-8") as fh:
-            text = fh.read()
         try:
+            with open(os.path.join(path, name), "r", encoding="utf-8") as fh:
+                text = fh.read()
             docs.append((name, parse_policy(text)))
+        except UnicodeDecodeError as exc:
+            raise MalformedYaml(f"{name}: not valid UTF-8: {exc}") from None
         except Exception as exc:
             exc.args = (f"{name}: {exc}",)
             raise

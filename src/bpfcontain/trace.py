@@ -440,7 +440,9 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
         except json.JSONDecodeError as exc:
             raise MalformedEvent(last_seq, f"line {lineno}: invalid JSON: {exc}") from exc
         if not saw_header:
-            if not isinstance(obj, dict) or obj.get("format") != TRACE_FORMAT_VERSION:
+            version = obj.get("format") if isinstance(obj, dict) else None
+            # a JSON integer, as ``_int`` checks: true and 1.0 are not 1 here
+            if type(version) is not int or version != TRACE_FORMAT_VERSION:
                 raise TraceError(
                     f'trace must start with {{"format": {TRACE_FORMAT_VERSION}}}')
             saw_header = True

@@ -160,6 +160,30 @@ def test_run_boolean_ns_info_exits_3(policy_dir, tmp_path):
     assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 3
 
 
+def test_run_non_utf8_trace_exits_3(policy_dir, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(b'{"format":1}\n'
+                      b'{"seq":1,"kind":"confine","pid":5,"policy_name":"hello_\xff"}\n')
+    assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 3
+    assert capsys.readouterr().err.startswith("error: trace is not valid UTF-8")
+
+
+@pytest.mark.parametrize("header", ['{"format": true}', '{"format": 1.0}'])
+def test_run_non_integer_header_exits_3(policy_dir, tmp_path, capsys, header):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(header + "\n")
+    assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 3
+    assert "trace must start with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["lint"], ["run", "--trace", "unread.jsonl"]])
+def test_non_utf8_policy_exits_1(tmp_path, capsys, command):
+    (tmp_path / "bad.yml").write_bytes(b"name: b\xff\nentry: /bin/sh\n")
+    assert run_cli("--policy-dir", str(tmp_path), *command) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [ParseError] bad.yml: not valid UTF-8")
+
+
 def test_run_missing_trace_exits_2(policy_dir, tmp_path):
     assert run_cli("--policy-dir", str(policy_dir), "run",
                    "--trace", str(tmp_path / "nope.jsonl")) == 2

@@ -179,6 +179,14 @@ def test_trace_requires_header():
         parse_trace([])
 
 
+@pytest.mark.parametrize("header", [
+    {"format": True}, {"format": 1.0}, {"format": "1"}, {"format": 2}, [1],
+])
+def test_trace_header_must_be_the_integer_1(header):
+    with pytest.raises(TraceError, match="trace must start with"):
+        parse_trace([json.dumps(header), json.dumps({"seq": 1, "kind": "exit", "pid": 1})])
+
+
 def test_trace_rejects_unknown_fields():
     lines = _lines({"seq": 1, "kind": "exit", "pid": 1, "bogus": True})
     with pytest.raises(MalformedEvent) as exc:
