@@ -199,7 +199,7 @@ def cmd_explain(args) -> int:
         return EXIT_POLICY
     try:
         obj = json.loads(args.event)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: event is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_TRACE
     try:

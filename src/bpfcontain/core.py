@@ -23,7 +23,8 @@ V_DENY = 1
 V_KILL = 2
 V_UNCONFINED = 3
 
-# rule tiers, most specific first
+# rule tiers, most specific first; each is its category's position in
+# ``compiler.MAP_CATEGORIES``, which names it in audit reasons
 T_FILE = 0
 T_SUBDIR = 1
 T_FS = 2
@@ -98,117 +99,84 @@ def decide_file_access(file_t, subdir_t, fs_t, dev_t,
     if fs_kind == _BPFFS and requested & _WRITE_OR_APPEND:
         return (V_DENY, R_BPFFS, None, None)
 
-    # collect the matching entry per tier, most specific first
-    file_hit = file_t.get(path) if file_t is not None else None
-
-    subdir_hits = None
+    # every matching entry as (tier, key, entry), most specific first: the
+    # file, its subdirs nearest first, the containing filesystem (the longest
+    # declared mountpoint), the device.  Each stage below takes the first hit
+    # that decides it, so this order is the tier precedence.
+    hits = []
+    if file_t is not None:
+        entry = file_t.get(path)
+        if entry is not None:
+            hits.append((T_FILE, path, entry))
     fs_hit = None
-    fs_key = None
     if fs_t is not None:
-        # the containing filesystem is the longest declared mountpoint prefix
-        fs_hit = fs_t.get(path)
-        if fs_hit is not None:
-            fs_key = path
+        entry = fs_t.get(path)
+        if entry is not None:
+            fs_hit = (T_FS, path, entry)
     need_fs = fs_t is not None and fs_hit is None
-    need_subdir = subdir_t is not None
-    if need_fs or need_subdir:
-        anc = path
-        depth = 0
-        while anc != "/" and (need_fs or (need_subdir and depth < _SUBDIR_REACH)):
-            cut = anc.rfind("/")
-            anc = anc[:cut] if cut > 0 else "/"
-            depth += 1
-            if need_subdir and depth <= _SUBDIR_REACH:
-                entry = subdir_t.get(anc)
-                if entry is not None:
-                    if subdir_hits is None:
-                        subdir_hits = []
-                    subdir_hits.append((anc, entry))
-            if need_fs:
-                entry = fs_t.get(anc)
-                if entry is not None:
-                    fs_hit = entry
-                    fs_key = anc
-                    need_fs = False
-
-    dev_key = -1
-    dev_hit = None
+    reach = _SUBDIR_REACH if subdir_t is not None else 0
+    anc = path
+    depth = 0
+    while anc != "/" and (need_fs or depth < reach):
+        cut = anc.rfind("/")
+        anc = anc[:cut] if cut > 0 else "/"
+        depth += 1
+        if depth <= reach:
+            entry = subdir_t.get(anc)
+            if entry is not None:
+                hits.append((T_SUBDIR, anc, entry))
+        if need_fs:
+            entry = fs_t.get(anc)
+            if entry is not None:
+                fs_hit = (T_FS, anc, entry)
+                need_fs = False
+    if fs_hit is not None:
+        hits.append(fs_hit)
     if dev_t is not None:
-        dev_key = classify_device(path)
-        if dev_key >= 0:
-            dev_hit = dev_t.get(dev_key)
+        dev = classify_device(path)
+        if dev >= 0:
+            entry = dev_t.get(dev)
+            if entry is not None:
+                hits.append((T_DEV, dev, entry))
 
+    # the grant: the most specific hit with an allow mask; broader tiers
+    # cannot widen it, and a foreign procfs/sysfs entry is granted only by a
+    # file or subdir rule
     foreign = implicit == R_PROC_FOREIGN
-    if foreign:
-        # only an explicit file/subdir grant covering the request rescues it
-        granted = 0
-        if file_hit is not None and file_hit[0]:
-            granted = file_hit[0]
-        elif subdir_hits is not None:
-            for _, entry in subdir_hits:
-                if entry[0]:
-                    granted = entry[0]
-                    break
-        if requested & ~granted:
-            return (V_DENY, R_PROC_FOREIGN, None, None)
+    grant = None
+    granted = 0
+    for hit in hits:
+        if hit[2][0] and not (foreign and hit[0] > T_SUBDIR):
+            grant = hit
+            granted = hit[2][0]
+            break
+    if foreign and requested & ~granted:
+        return (V_DENY, R_PROC_FOREIGN, None, None)
 
     # taint triggers, then the untainted exemption
     taint_detail = None
     if not tainted:
-        if file_hit is not None and file_hit[2] & requested:
-            taint_detail = (T_FILE, path, file_hit[2] & requested)
-        if taint_detail is None and subdir_hits is not None:
-            for anc, entry in subdir_hits:
-                if entry[2] & requested:
-                    taint_detail = (T_SUBDIR, anc, entry[2] & requested)
-                    break
-        if taint_detail is None and fs_hit is not None and fs_hit[2] & requested:
-            taint_detail = (T_FS, fs_key, fs_hit[2] & requested)
-        if taint_detail is None and dev_hit is not None and dev_hit[2] & requested:
-            taint_detail = (T_DEV, dev_key, dev_hit[2] & requested)
+        for tier, key, entry in hits:
+            if entry[2] & requested:
+                taint_detail = (tier, key, entry[2] & requested)
+                break
         if taint_detail is None:
             return (V_ALLOW, R_EXEMPT, None, None)
 
-    # explicit deny rules: any match wins, tier order fixes provenance only
-    if file_hit is not None and file_hit[1] & requested:
-        return (V_DENY, R_DENY_RULE, (T_FILE, path, file_hit[1] & requested), taint_detail)
-    if subdir_hits is not None:
-        for anc, entry in subdir_hits:
-            if entry[1] & requested:
-                return (V_DENY, R_DENY_RULE, (T_SUBDIR, anc, entry[1] & requested), taint_detail)
-    if fs_hit is not None and fs_hit[1] & requested:
-        return (V_DENY, R_DENY_RULE, (T_FS, fs_key, fs_hit[1] & requested), taint_detail)
-    if dev_hit is not None and dev_hit[1] & requested:
-        return (V_DENY, R_DENY_RULE, (T_DEV, dev_key, dev_hit[1] & requested), taint_detail)
+    # explicit deny rules: any match wins, the first fixes provenance only
+    for tier, key, entry in hits:
+        if entry[1] & requested:
+            return (V_DENY, R_DENY_RULE, (tier, key, entry[1] & requested), taint_detail)
 
     if implicit == R_PROC_SELF or implicit == R_OVERLAY:
         return (V_ALLOW, implicit, None, taint_detail)
 
-    # explicit allow: the most specific tier with a grant fixes the granted
-    # set; broader tiers cannot widen it (File > Subdir > Filesystem > Device)
-    granted = 0
-    detail = None
-    if file_hit is not None and file_hit[0]:
-        granted = file_hit[0]
-        detail = (T_FILE, path, granted)
-    elif subdir_hits is not None and any(entry[0] for _, entry in subdir_hits):
-        for anc, entry in subdir_hits:
-            if entry[0]:
-                granted = entry[0]
-                detail = (T_SUBDIR, anc, granted)
-                break
-    elif not foreign and fs_hit is not None and fs_hit[0]:
-        granted = fs_hit[0]
-        detail = (T_FS, fs_key, granted)
-    elif not foreign and dev_hit is not None and dev_hit[0]:
-        granted = dev_hit[0]
-        detail = (T_DEV, dev_key, granted)
-
+    # explicit allow: the grant must cover the whole request
     if granted and not (requested & ~granted):
-        return (V_ALLOW, R_ALLOW_RULE, detail, taint_detail)
+        return (V_ALLOW, R_ALLOW_RULE, (grant[0], grant[1], granted), taint_detail)
     if foreign:
-        # coverage was established above; reaching here means a shadowing
-        # file/subdir entry granted less than requested
+        # coverage was established above; reaching here means nothing
+        # granted and nothing was requested
         return (V_DENY, R_PROC_FOREIGN, None, taint_detail)
     if default_allow:
         return (V_ALLOW, R_DEFAULT, None, taint_detail)

@@ -37,7 +37,7 @@ from .core import (
     V_KILL,
     V_UNCONFINED,
 )
-from .compiler import CompiledPolicyStore, F_ALLOW, F_DENY, F_TAINT
+from .compiler import MAP_CATEGORIES, CompiledPolicyStore, F_ALLOW, F_DENY, F_TAINT
 from .errors import StoreNotSealed, UnknownPolicy
 from .events import (
     CapabilityUse,
@@ -130,10 +130,6 @@ _REASONS = {
 }
 
 
-# rule tier (``T_*``, in order) -> the noun its reasons open with
-_TIER_NOUNS = ("file", "subdir", "filesystem", "device", "network", "ipc", "capability")
-
-
 def _rule_text(tier: int, key, mask: int) -> str:
     """What a rule entry names: ``/etc rw``, ``tty rw``, ``client send``, a name."""
     if tier == T_NET:
@@ -149,7 +145,7 @@ def reason_text(verdict_code: int, code: int, detail=None, policy: str | None = 
                 taint_detail=None) -> str:
     """The audit reason for a decision's codes, e.g. ``device rule tty rw``."""
     if code == R_ALLOW_RULE or code == R_DENY_RULE:
-        reason = f"{_TIER_NOUNS[detail[0]]} rule {_rule_text(*detail)}"
+        reason = f"{MAP_CATEGORIES[detail[0]]} rule {_rule_text(*detail)}"
     elif code == R_DEFAULT:
         reason = "default allow" if verdict_code == V_ALLOW else "no matching rule under default deny"
     else:
@@ -159,7 +155,7 @@ def reason_text(verdict_code: int, code: int, detail=None, policy: str | None = 
     tier = taint_detail[0]
     trigger = _rule_text(*taint_detail)
     if tier != T_DEV:  # a device trigger names only the device
-        trigger = f"{_TIER_NOUNS[tier]} {trigger}"
+        trigger = f"{MAP_CATEGORIES[tier]} {trigger}"
     return f"tainted by rule {trigger}, then {reason}"
 
 
@@ -283,25 +279,20 @@ def decide(event: HookEvent, state: ContainerState,
 
 def _decide_ipc(event: IpcOp, container: Container, my_name: str,
                 state: ContainerState, store: CompiledPolicyStore) -> Decision:
+    cid = container.container_id
     peer = state.lookup(event.peer_pid)
-    if peer is not None and peer.container_id == container.container_id:
-        return Decision(V_ALLOW, R_IPC_SAME, None, container.container_id, my_name)
-
-    taint_detail = None
-    if not container.tainted:
-        if peer is not None:
-            flags = store.ipc_entry(container.policy_id, peer.policy_id)
-            if flags & F_TAINT:
-                peer_name = store.meta(peer.policy_id).name
-                taint_detail = (T_IPC, peer_name, 0)
-        if taint_detail is None:
-            return Decision(V_ALLOW, R_EXEMPT, None, container.container_id, my_name)
-
     if peer is None:
-        return _finish(V_DENY, R_IPC_UNCONFINED, None, container, my_name, state, taint_detail)
+        if container.tainted:
+            return Decision(V_DENY, R_IPC_UNCONFINED, None, cid, my_name)
+        return Decision(V_ALLOW, R_EXEMPT, None, cid, my_name)
+    if peer.container_id == cid:
+        return Decision(V_ALLOW, R_IPC_SAME, None, cid, my_name)
 
-    peer_name = store.meta(peer.policy_id).name
     mine = store.ipc_entry(container.policy_id, peer.policy_id)
+    if not container.tainted and not mine & F_TAINT:
+        return Decision(V_ALLOW, R_EXEMPT, None, cid, my_name)
+    peer_name = store.meta(peer.policy_id).name
+    taint_detail = None if container.tainted else (T_IPC, peer_name, 0)
     theirs = store.ipc_entry(peer.policy_id, container.policy_id)
     if mine & F_DENY or theirs & F_DENY:
         code = R_IPC_DENY_RULE

@@ -339,14 +339,14 @@ def parse_policy(text: str) -> PolicyDocument:
     """Parse one YAML policy document into a normalized PolicyDocument."""
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # too long an int, too deep
         raise MalformedYaml(str(exc)) from exc
     if not isinstance(doc, dict):
         raise MalformedYaml("policy document must be a YAML mapping")
 
     unknown = set(doc) - _TOP_LEVEL_KEYS
     if unknown:
-        raise MalformedRule(f"unknown top-level keys: {sorted(unknown)}")
+        raise MalformedRule(f"unknown top-level keys: {sorted(unknown, key=str)}")
 
     if "name" not in doc:
         raise MissingField("name")

@@ -437,7 +437,7 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
             continue
         try:
             obj = _loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise MalformedEvent(last_seq, f"line {lineno}: invalid JSON: {exc}") from exc
         if not saw_header:
             version = obj.get("format") if isinstance(obj, dict) else None

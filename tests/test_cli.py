@@ -184,6 +184,48 @@ def test_non_utf8_policy_exits_1(tmp_path, capsys, command):
     assert err.startswith("error: [ParseError] bad.yml: not valid UTF-8")
 
 
+# JSON the decoder itself refuses with ValueError or RecursionError, not
+# JSONDecodeError: nesting past the recursion limit, and an integer past
+# the int/str conversion limit
+_TOO_DEEP = "[" * 100_000 + "]" * 100_000
+_TOO_LONG = "9" * 5000
+_UNDECODABLE_EVENTS = [
+    '{"seq": 1, "kind": "exit", "pid": %s}' % _TOO_DEEP,
+    '{"seq": 1, "kind": "exit", "pid": %s}' % _TOO_LONG,
+]
+
+
+@pytest.mark.parametrize("lines", [
+    ['{"format": 1}', _UNDECODABLE_EVENTS[0]],
+    ['{"format": 1}', _UNDECODABLE_EVENTS[1]],
+    ['{"format": %s}' % _TOO_LONG],
+], ids=["deep-event", "long-int-event", "long-int-header"])
+def test_run_undecodable_json_exits_3(policy_dir, tmp_path, capsys, lines):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 3
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("event", _UNDECODABLE_EVENTS, ids=["deep", "long-int"])
+def test_explain_undecodable_json_exits_3(policy_dir, capsys, event):
+    assert run_cli("--policy-dir", str(policy_dir), "explain",
+                   "--policy", "hello_minimal", "--event", event) == 3
+    assert capsys.readouterr().err.startswith("error: event is not valid JSON")
+
+
+@pytest.mark.parametrize("text", [
+    "name: p\nentry: /bin/sh\ndefault: %s\n" % _TOO_LONG,
+    "name: p\nentry: /bin/sh\nallow: %s\n" % ("[" * 20_000 + "]" * 20_000),
+    "name: p\nentry: /bin/sh\n1: x\nfoo: y\n",
+], ids=["long-int", "deep", "mixed-type-keys"])
+@pytest.mark.parametrize("command", [["lint"], ["run", "--trace", "unread.jsonl"]])
+def test_policy_the_parser_refuses_exits_1(tmp_path, capsys, command, text):
+    (tmp_path / "bad.yml").write_text(text)
+    assert run_cli("--policy-dir", str(tmp_path), *command) == 1
+    assert capsys.readouterr().err.startswith("error: [ParseError] bad.yml: ")
+
+
 def test_run_missing_trace_exits_2(policy_dir, tmp_path):
     assert run_cli("--policy-dir", str(policy_dir), "run",
                    "--trace", str(tmp_path / "nope.jsonl")) == 2

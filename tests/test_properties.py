@@ -1,5 +1,6 @@
 """Property tests: the trace wire format, the parser's error contract, the
-canonical-path shortcut and the audit line renderer."""
+canonical-path shortcut, the audit line renderer and the file kernel's rule
+provenance."""
 
 import io
 import json
@@ -8,7 +9,21 @@ import posixpath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpfcontain.core import T_DEV, T_FILE, T_NET, V_ALLOW, V_DENY
+from bpfcontain import core
+from bpfcontain.core import (
+    R_DENY_RULE,
+    R_OVERLAY,
+    R_PROC_FOREIGN,
+    R_PROC_SELF,
+    T_DEV,
+    T_FILE,
+    T_FS,
+    T_NET,
+    T_SUBDIR,
+    V_ALLOW,
+    V_DENY,
+    classify_device,
+)
 from bpfcontain.engine import R_ALLOW_RULE, R_DEFAULT, R_STATE_ERROR
 from bpfcontain.errors import TraceError
 from bpfcontain.events import (
@@ -26,7 +41,13 @@ from bpfcontain.events import (
     SocketOpKind,
     SwitchNamespaces,
 )
-from bpfcontain.policy import CAPABILITIES, AccessFlags, normalize_event_path, parse_access
+from bpfcontain.policy import (
+    CAPABILITIES,
+    AccessFlags,
+    DeviceKind,
+    normalize_event_path,
+    parse_access,
+)
 from bpfcontain.trace import (
     O_ERROR,
     AuditRecord,
@@ -197,3 +218,86 @@ def test_audit_line_matches_json_dumps(record):
         "reason": record.reason,
         "taint_transition": record.taint_transition,
     }, separators=(",", ":"))
+
+
+# --- file kernel provenance --------------------------------------------------
+
+# short components from a two-letter alphabet, so that table keys, ancestors
+# and decoys collide often
+kernel_paths = st.one_of(
+    st.lists(st.text("ab", min_size=1, max_size=2), min_size=1, max_size=12)
+    .map(lambda cs: "/" + "/".join(cs)),
+    st.sampled_from(("/dev/tty", "/dev/tty1", "/dev/null")),
+)
+masks = st.integers(min_value=0, max_value=15)
+entries = st.tuples(masks, masks, masks)  # (allow, deny, taint)
+
+
+def _lineage(path):
+    """``path`` and then each of its ancestors, nearest first, ending at ``/``."""
+    out = [path]
+    while path != "/":
+        path = posixpath.dirname(path)
+        out.append(path)
+    return out
+
+
+@st.composite
+def file_kernel_inputs(draw):
+    path = draw(kernel_paths)
+    # decoys: string extensions and prefixes of the path that are not its
+    # ancestors, and unrelated paths
+    candidates = _lineage(path) + [path + "a", path[:-1] or "/"] + draw(
+        st.lists(kernel_paths, max_size=3))
+
+    def path_table():
+        return draw(st.none() | st.dictionaries(st.sampled_from(candidates), entries, max_size=8))
+
+    file_t, subdir_t, fs_t = path_table(), path_table(), path_table()
+    dev_t = draw(st.none() | st.dictionaries(st.sampled_from([int(k) for k in DeviceKind]),
+                                             entries, max_size=4))
+    return (file_t, subdir_t, fs_t, dev_t, draw(st.booleans()), draw(st.booleans()),
+            path, draw(masks), int(draw(st.sampled_from(FsKind))),
+            draw(st.sampled_from((0, R_PROC_SELF, R_PROC_FOREIGN, R_OVERLAY))))
+
+
+def _expected_hits(file_t, subdir_t, fs_t, dev_t, path):
+    """Every matching rule as ``(tier, key, entry)``, most specific first."""
+    hits = []
+    if file_t is not None and path in file_t:
+        hits.append((T_FILE, path, file_t[path]))
+    if subdir_t is not None:
+        # a subdir rule reaches 9 components below its root
+        hits += [(T_SUBDIR, anc, subdir_t[anc]) for anc in _lineage(path)[1:10]
+                 if anc in subdir_t]
+    if fs_t is not None:
+        mount = next((p for p in _lineage(path) if p in fs_t), None)
+        if mount is not None:
+            hits.append((T_FS, mount, fs_t[mount]))
+    dev = classify_device(path)
+    if dev_t is not None and dev in dev_t:
+        hits.append((T_DEV, dev, dev_t[dev]))
+    return hits
+
+
+@settings(max_examples=300, deadline=None)
+@given(file_kernel_inputs())
+def test_file_kernel_names_the_most_specific_rule(args):
+    file_t, subdir_t, fs_t, dev_t, _, _, path, requested, _, implicit = args
+    _, code, detail, taint_detail = core.decide_file_access(*args)
+    hits = _expected_hits(file_t, subdir_t, fs_t, dev_t, path)
+
+    def first_meeting(stage):
+        return next((tier, key, entry[stage] & requested) for tier, key, entry in hits
+                    if entry[stage] & requested)
+
+    if code == R_DENY_RULE:
+        assert detail == first_meeting(1)
+    if taint_detail is not None:
+        assert taint_detail == first_meeting(2)
+    if code == R_ALLOW_RULE:
+        foreign = implicit == R_PROC_FOREIGN
+        grant = next((tier, key, entry[0]) for tier, key, entry in hits
+                     if entry[0] and (not foreign or tier in (T_FILE, T_SUBDIR)))
+        assert detail == grant
+        assert not requested & ~grant[2]
