@@ -7,9 +7,13 @@ Exit codes: 0 success, 1 policy parse/validation errors, 2 I/O failures,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
+import os
+import stat
 import sys
+import tempfile
 
 from .compiler import MAP_CATEGORIES, MapCapacities, compile_policies
 from .engine import decide
@@ -30,10 +34,12 @@ from .policy import (
 from .state import DEFAULT_CONTAINER_CAPACITY, ContainerState
 from .trace import (
     DEFAULT_AUDIT_CAPACITY,
+    AuditWriter,
     Confine,
     Exit,
     Fork,
-    parse_trace,
+    iter_trace,
+    parse_trace,  # unused here, but perfbench/tracer.py wraps ``cli.parse_trace``
     parse_trace_object,
     replay,
 )
@@ -150,15 +156,52 @@ def _compile_for_run(args):
     return store, containers, audit, EXIT_OK
 
 
+@contextlib.contextmanager
+def _audit_records(path: str | None):
+    """The records sink for ``replay``: written through to ``path``, if given.
+
+    The lines go to a temp file beside ``path`` that replaces it only when
+    the block succeeds; on any error the temp file is removed and an
+    existing ``path`` is left as it was.  The file gets the mode
+    ``open(path, "w")`` would leave it with.
+    """
+    if path is None:
+        yield AuditWriter()
+        return
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(prefix=".audit-", suffix=".tmp",
+                               dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, mode)
+            yield AuditWriter(fh.write)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_run(args) -> int:
     store, containers, audit_capacity, err = _compile_for_run(args)
     if err:
         return err
     try:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            events = parse_trace(fh)
+        trace_fh = open(args.trace, "r", encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
+        return EXIT_IO
+    state = ContainerState(store, max_containers=containers)
+    try:
+        with trace_fh, _audit_records(args.audit) as records:
+            _, audit = replay(iter_trace(trace_fh), store, state,
+                              audit_capacity=audit_capacity, records=records)
+    except OSError as exc:  # creating, writing or moving the audit file, or reading the trace
+        print(f"error: I/O error in run: {exc}", file=sys.stderr)
         return EXIT_IO
     except TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -166,20 +209,9 @@ def cmd_run(args) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: trace is not valid UTF-8: {exc}", file=sys.stderr)
         return EXIT_TRACE
-    log.info("parsed %d events from %s", len(events), args.trace)
-
-    state = ContainerState(store, max_containers=containers)
-    _, audit = replay(events, store, state, audit_capacity=audit_capacity)
+    log.info("parsed %d events from %s", audit.events, args.trace)
     log.info("replayed %d events: %d audit records kept, %d dropped, %d containers live",
              audit.events, len(audit.records), audit.dropped, len(state.containers))
-
-    if args.audit:
-        try:
-            with open(args.audit, "w", encoding="utf-8") as fh:
-                audit.write(fh)
-        except OSError as exc:
-            print(f"error: cannot write audit log: {exc}", file=sys.stderr)
-            return EXIT_IO
 
     s = audit.summary()
     line = (f"events={s['events']} allows={s['allows']} denies={s['denies']}"

@@ -6,7 +6,8 @@ Replay routes lifecycle records through container state, judges mediated
 events through the engine, and appends one audit record per mediated event
 (lifecycle records only audit errors, creations, and removals).  Records
 keep the event and the decision's codes; their text is rendered only when
-the log is written.
+the log is written.  ``iter_trace`` and ``AuditWriter`` let a caller stream
+a trace: one event parsed, judged and written at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .compiler import CompiledPolicyStore
 from .core import V_ALLOW, V_DENY, V_KILL, V_UNCONFINED
@@ -57,6 +58,8 @@ from .policy import CAPABILITIES, format_access, parse_access, normalize_event_p
 from .state import ContainerState
 
 TRACE_FORMAT_VERSION = 1
+# the first line of every trace and audit file
+FORMAT_HEADER = json.dumps({"format": TRACE_FORMAT_VERSION}, separators=(",", ":")) + "\n"
 DEFAULT_AUDIT_CAPACITY = 65536
 
 
@@ -160,11 +163,12 @@ class AuditRecord(NamedTuple):
 
 @dataclass
 class AuditLog:
-    """Bounded in-memory audit sink with ring-buffer overflow accounting.
+    """Bounded audit sink with ring-buffer overflow accounting.
 
     New records are dropped (and counted) once the buffer is full, the way
     a fixed-size ring buffer sheds events the consumer never drained.  The
-    counters see every record, kept or dropped.
+    counters see every record, kept or dropped.  ``records`` holds the kept
+    ones, or is an ``AuditWriter`` that writes them out as they come.
     """
 
     capacity: int = DEFAULT_AUDIT_CAPACITY
@@ -206,10 +210,35 @@ class AuditLog:
         }
 
     def write(self, fh: TextIO):
-        fh.write(json.dumps({"format": TRACE_FORMAT_VERSION}, separators=(",", ":")) + "\n")
+        fh.write(FORMAT_HEADER)
         to_json = AuditRecord.to_json
         for record in self.records:
             fh.write(to_json(record) + "\n")
+
+
+class AuditWriter:
+    """A ``records`` sink for ``replay`` that keeps no record.
+
+    With ``write`` (a text file's ``write``), the header goes out at once
+    and each record as its audit line as soon as it is appended, so the
+    file ends up holding what ``AuditLog.write`` would have written.
+    Without it the records are only counted.  ``len()`` is the number
+    appended.
+    """
+
+    def __init__(self, write=None):
+        self._count = 0
+        self._write = write
+        if write is not None:
+            write(FORMAT_HEADER)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def append(self, record: AuditRecord):
+        self._count += 1
+        if self._write is not None:
+            self._write(record.to_json() + "\n")
 
 
 # --- trace parsing -------------------------------------------------------------
@@ -232,15 +261,22 @@ def _need(obj: dict, key: str, types, seq) -> object:
     return value
 
 
-def _int(value, what: str, seq) -> int:
+# the kernel's widths: pids and uids are u32, namespace ids (inode numbers)
+# u64; ``seq`` is a signed 64-bit counter
+_U32_MAX = 2**32 - 1
+_U64_MAX = 2**64 - 1
+
+
+def _int(value, what: str, seq, top: int = _U32_MAX) -> int:
     """The one check for trace integers (pids, uids, namespaces).
 
-    A JSON integer, so not true/false, and never negative.
+    A JSON integer, so not true/false, from 0 to ``top``.
     """
     if type(value) is not int:
         raise MalformedEvent(seq, f"{what} must be an integer")
-    if value < 0:
-        raise MalformedEvent(seq, f"{what} must not be negative")
+    if not 0 <= value <= top:
+        raise MalformedEvent(seq, f"{what} must not be negative" if value < 0
+                             else f"{what} must be at most {top}")
     return value
 
 
@@ -287,7 +323,7 @@ def _parse_file_access(obj: dict, seq: int) -> FileAccess:
     fs_kind = _enum_field(obj, "fs_kind", _FS_KINDS, seq) if "fs_kind" in obj else FsKind.REGULAR
     owner_ns = obj.get("owner_mount_ns")
     if owner_ns is not None:
-        owner_ns = _int(owner_ns, "owner_mount_ns", seq)
+        owner_ns = _int(owner_ns, "owner_mount_ns", seq, _U64_MAX)
     subject = obj.get("proc_subject_pid")
     if subject is not None:
         subject = _int(subject, "proc_subject_pid", seq)
@@ -355,8 +391,8 @@ def _parse_confine(obj: dict, seq: int) -> Confine:
         extra = set(ns) - {"mount_ns", "ipc_ns"}
         if extra:
             raise MalformedEvent(seq, f"ns_info: unknown fields {sorted(extra)}")
-        mount_ns = _int(ns.get("mount_ns", 0), "ns_info.mount_ns", seq)
-        ipc_ns = _int(ns.get("ipc_ns", 0), "ns_info.ipc_ns", seq)
+        mount_ns = _int(ns.get("mount_ns", 0), "ns_info.mount_ns", seq, _U64_MAX)
+        ipc_ns = _int(ns.get("ipc_ns", 0), "ns_info.ipc_ns", seq, _U64_MAX)
     return Confine(pid, name, mount_ns, ipc_ns)
 
 
@@ -391,6 +427,8 @@ def parse_trace_object(obj: dict, seq=None) -> TraceEvent:
         value = obj["seq"]
         if type(value) is not int:
             raise MalformedEvent(seq, "seq must be an integer")
+        if not -2**63 <= value < 2**63:
+            raise MalformedEvent(seq, "seq must fit in a signed 64-bit integer")
         seq = value
     elif seq is None:
         raise MalformedEvent(None, "missing field 'seq'")
@@ -425,10 +463,12 @@ def _loads(line: str):
     return obj
 
 
-def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
-    """Parse a JSONL trace: header line first, then seq-ordered events."""
-    events: list[TraceEvent] = []
-    append = events.append
+def iter_trace(lines: Iterable[str]) -> Iterator[TraceEvent]:
+    """Parse a JSONL trace lazily: header line first, then seq-ordered events.
+
+    Each event is yielded before the next line is read, so an error in a
+    later line is raised only when the iteration reaches it.
+    """
     last_seq = None
     saw_header = False
     for lineno, line in enumerate(lines, start=1):
@@ -451,10 +491,14 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
         if last_seq is not None and event.seq <= last_seq:
             raise OutOfOrderTrace(event.seq)
         last_seq = event.seq
-        append(event)
+        yield event
     if not saw_header:
         raise TraceError("empty trace: missing format header")
-    return events
+
+
+def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
+    """Parse a whole JSONL trace, raising any error before returning."""
+    return list(iter_trace(lines))
 
 
 def event_to_object(te: TraceEvent) -> dict:
@@ -502,7 +546,7 @@ def event_to_object(te: TraceEvent) -> dict:
 
 
 def write_trace(events: Iterable[TraceEvent], fh: TextIO):
-    fh.write(json.dumps({"format": TRACE_FORMAT_VERSION}, separators=(",", ":")) + "\n")
+    fh.write(FORMAT_HEADER)
     for te in events:
         fh.write(json.dumps(event_to_object(te), separators=(",", ":")) + "\n")
 
@@ -511,9 +555,12 @@ def write_trace(events: Iterable[TraceEvent], fh: TextIO):
 
 def replay(events: Iterable[TraceEvent], store: CompiledPolicyStore,
            state: ContainerState | None = None,
-           audit_capacity: int = DEFAULT_AUDIT_CAPACITY,
+           audit_capacity: int = DEFAULT_AUDIT_CAPACITY, records=None,
 ) -> tuple[ContainerState, AuditLog]:
     """Apply a seq-ordered trace; returns final state and the audit log.
+
+    The log keeps its records in ``records`` (a list by default), anything
+    with ``append`` and ``len()``, such as an ``AuditWriter``.
 
     A Kill decision retires the pid immediately (its exit is implied, and
     the kill record subsumes any removal record).  Later events from a
@@ -522,7 +569,7 @@ def replay(events: Iterable[TraceEvent], store: CompiledPolicyStore,
     """
     if state is None:
         state = ContainerState(store)
-    log = AuditLog(capacity=audit_capacity)
+    log = AuditLog(audit_capacity, [] if records is None else records)
     append = log.append
     killed: set[int] = set()
     last_seq = None

@@ -2,9 +2,14 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bpfcontain
 from bpfcontain.cli import main
 
 
@@ -297,3 +302,19 @@ def test_bad_capacity_flag_is_a_usage_error(policy_dir):
     with pytest.raises(SystemExit) as exc:
         run_cli("--policy-dir", str(policy_dir), "--capacity", "file=zero", "lint")
     assert exc.value.code == 2
+
+
+def test_run_huge_pid_exits_3_whatever_the_digit_limit(policy_dir, tmp_path):
+    # with the interpreter's int/str digit limit off, json decodes a 5,000-digit
+    # pid; the trace's u32 bound must still refuse it
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"format": 1}\n{"seq": 1, "kind": "confine", "pid": %s,'
+                     ' "policy_name": "hello_minimal"}\n' % ("9" * 5000))
+    src = str(Path(bpfcontain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "bpfcontain.cli", "--policy-dir",
+                           str(policy_dir), "run", "--trace", str(trace)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "pid must be at most 4294967295" in proc.stderr

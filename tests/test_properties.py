@@ -63,28 +63,31 @@ from bpfcontain.trace import (
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
 ids = st.integers(min_value=0, max_value=2**63)
+# the trace's integer widths: pids and uids are u32, namespace ids u64
+pids = st.integers(min_value=0, max_value=2**32 - 1)
+ns_ids = st.integers(min_value=0, max_value=2**64 - 1)
 component = st.text(st.characters(blacklist_characters="/"), min_size=1).filter(
     lambda c: c not in (".", ".."))
 canonical_paths = st.one_of(
     st.just("/"), st.lists(component, min_size=1, max_size=6).map(lambda cs: "/" + "/".join(cs)))
 access = st.integers(min_value=1, max_value=15).map(AccessFlags)
 capability_sets = st.frozensets(st.sampled_from(sorted(CAPABILITIES)), max_size=4)
-priv_levels = st.builds(PrivLevel, ids, capability_sets)
+priv_levels = st.builds(PrivLevel, pids, capability_sets)
 
 hook_events = st.one_of(
-    st.builds(FileAccess, ids, canonical_paths, access, st.sampled_from(FsKind),
-              st.none() | ids, st.none() | ids),
-    st.builds(SocketOp, ids, st.sampled_from(SocketFamily), st.sampled_from(SocketOpKind)),
-    st.builds(IpcOp, ids, ids, st.sampled_from(IpcMechanism)),
-    st.builds(CapabilityUse, ids, st.sampled_from(sorted(CAPABILITIES)), st.booleans()),
-    st.builds(CommitCreds, ids, priv_levels, priv_levels),
-    st.builds(SwitchNamespaces, ids),
-    st.builds(HardeningOp, ids, st.sampled_from(HardeningKind)),
+    st.builds(FileAccess, pids, canonical_paths, access, st.sampled_from(FsKind),
+              st.none() | ns_ids, st.none() | pids),
+    st.builds(SocketOp, pids, st.sampled_from(SocketFamily), st.sampled_from(SocketOpKind)),
+    st.builds(IpcOp, pids, pids, st.sampled_from(IpcMechanism)),
+    st.builds(CapabilityUse, pids, st.sampled_from(sorted(CAPABILITIES)), st.booleans()),
+    st.builds(CommitCreds, pids, priv_levels, priv_levels),
+    st.builds(SwitchNamespaces, pids),
+    st.builds(HardeningOp, pids, st.sampled_from(HardeningKind)),
 )
 lifecycle_events = st.one_of(
-    st.builds(Confine, ids, st.text(), ids, ids),
-    st.builds(Fork, ids, ids),
-    st.builds(Exit, ids),
+    st.builds(Confine, pids, st.text(), ns_ids, ns_ids),
+    st.builds(Fork, pids, pids),
+    st.builds(Exit, pids),
 )
 any_event = hook_events | lifecycle_events
 

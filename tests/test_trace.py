@@ -329,3 +329,49 @@ def test_event_serialization_is_stable():
         "seq": 3, "kind": "confine", "pid": 9, "policy_name": "p",
         "ns_info": {"mount_ns": 1, "ipc_ns": 2},
     }
+
+
+# every bounded trace integer: a wire object with ``v`` in that field, its
+# name, and its kernel width in bits
+_WIDE_FIELDS = [
+    (lambda v: {"seq": 1, "kind": "exit", "pid": v}, "pid", 32),
+    (lambda v: {"seq": 1, "kind": "confine", "pid": v, "policy_name": "p"}, "pid", 32),
+    (lambda v: {"seq": 1, "kind": "IpcOp", "pid": 1, "peer_pid": v, "mechanism": "Signal"},
+     "peer_pid", 32),
+    (lambda v: {"seq": 1, "kind": "fork", "parent": v, "child": 2}, "parent", 32),
+    (lambda v: {"seq": 1, "kind": "fork", "parent": 1, "child": v}, "child", 32),
+    (lambda v: {"seq": 1, "kind": "FileAccess", "pid": 1, "path": "/proc/1/status",
+                "requested": "r", "fs_kind": "Procfs", "proc_subject_pid": v},
+     "proc_subject_pid", 32),
+    (lambda v: {"seq": 1, "kind": "CommitCreds", "pid": 1, "old_priv": {"uid": v},
+                "new_priv": {"uid": 0}}, "old_priv.uid", 32),
+    (lambda v: {"seq": 1, "kind": "CommitCreds", "pid": 1, "old_priv": {"uid": 0},
+                "new_priv": {"uid": v}}, "new_priv.uid", 32),
+    (lambda v: {"seq": 1, "kind": "FileAccess", "pid": 1, "path": "/x", "requested": "r",
+                "fs_kind": "Overlayfs", "owner_mount_ns": v}, "owner_mount_ns", 64),
+    (lambda v: {"seq": 1, "kind": "confine", "pid": 5, "policy_name": "p",
+                "ns_info": {"mount_ns": v}}, "ns_info.mount_ns", 64),
+    (lambda v: {"seq": 1, "kind": "confine", "pid": 5, "policy_name": "p",
+                "ns_info": {"ipc_ns": v}}, "ns_info.ipc_ns", 64),
+]
+
+
+@pytest.mark.parametrize("make, what, bits", _WIDE_FIELDS,
+                         ids=[f"{obj(0)['kind']}-{what}" for obj, what, _ in _WIDE_FIELDS])
+def test_trace_integers_fit_the_kernel_widths(make, what, bits):
+    top = 2**bits - 1
+    parse_trace(_lines(make(top)))
+    for value in (top + 1, 10**4000):
+        with pytest.raises(MalformedEvent) as exc:
+            parse_trace(_lines(make(value)))
+        assert exc.value.why == f"{what} must be at most {top}"
+
+
+def test_trace_seq_is_a_signed_64_bit_integer():
+    first, last = parse_trace(_lines({"seq": -2**63, "kind": "exit", "pid": 0},
+                                     {"seq": 2**63 - 1, "kind": "exit", "pid": 0}))
+    assert (first.seq, last.seq) == (-2**63, 2**63 - 1)
+    for seq in (2**63, -2**63 - 1):
+        with pytest.raises(MalformedEvent) as exc:
+            parse_trace(_lines({"seq": seq, "kind": "exit", "pid": 0}))
+        assert exc.value.why == "seq must fit in a signed 64-bit integer"
