@@ -156,33 +156,68 @@ def _compile_for_run(args):
     return store, containers, audit, EXIT_OK
 
 
+def _open_audit(path: str):
+    """Open the audit output: ``(file, temp path or None, final path)``.
+
+    A missing file, or a regular file with one link, is written through a
+    temp file beside the symlink-resolved path, made with the mode, owner
+    and group ``open(path, "w")`` would leave there, to replace it on
+    success.  Anything else (a device, a pipe, a hard-linked file, or an
+    owner the temp file cannot be given) is ``open(path, "w")``, written in
+    place as the run goes.
+    """
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1):
+        return open(path, "w", encoding="utf-8"), None, path
+    target = os.path.realpath(path)
+    if st is None:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        os.close(os.open(target, os.O_WRONLY))  # the permission check open(path, "w") makes
+        mode = stat.S_IMODE(st.st_mode)
+    fd, tmp = tempfile.mkstemp(prefix=".audit-", suffix=".tmp", dir=os.path.dirname(target))
+    try:
+        if st is not None:
+            own = os.fstat(fd)
+            if (own.st_uid, own.st_gid) != (st.st_uid, st.st_gid):
+                os.fchown(fd, st.st_uid, st.st_gid)
+        os.fchmod(fd, mode)
+    except PermissionError:
+        os.close(fd)
+        os.unlink(tmp)
+        return open(path, "w", encoding="utf-8"), None, path
+    except BaseException:
+        os.close(fd)
+        os.unlink(tmp)
+        raise
+    return open(fd, "w", encoding="utf-8"), tmp, target
+
+
 @contextlib.contextmanager
 def _audit_records(path: str | None):
     """The records sink for ``replay``: written through to ``path``, if given.
 
-    The lines go to a temp file beside ``path`` that replaces it only when
-    the block succeeds; on any error the temp file is removed and an
-    existing ``path`` is left as it was.  The file gets the mode
-    ``open(path, "w")`` would leave it with.
+    Where ``_open_audit`` gives a temp file, it replaces ``path``'s target
+    only when the block succeeds; on any error it is removed and an
+    existing file is left as it was.
     """
     if path is None:
         yield AuditWriter()
         return
+    fh, tmp, target = _open_audit(path)
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0o022)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(prefix=".audit-", suffix=".tmp",
-                               dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, mode)
+        with fh:
             yield AuditWriter(fh.write)
-        os.replace(tmp, path)
+        if tmp is not None:
+            os.replace(tmp, target)
     except BaseException:
-        os.unlink(tmp)
+        if tmp is not None:
+            os.unlink(tmp)
         raise
 
 

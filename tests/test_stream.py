@@ -8,6 +8,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,121 @@ def test_run_unwritable_audit_path_exits_2_before_the_trace_is_read(policy_dir, 
     assert capsys.readouterr().err.startswith("error: I/O error in run: ")
     assert not (tmp_path / "missing").exists()
 
+
+
+# --- audit paths that are not a plain file -------------------------------------------
+
+def _expected_audit(policy_dir, tmp_path, trace):
+    reference = tmp_path / "reference.jsonl"
+    assert _run_audit(policy_dir, trace, reference) == 0
+    return reference.read_bytes()
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["target", "dangling"])
+def test_run_through_a_symlink_updates_its_target_and_keeps_the_link(policy_dir, tmp_path,
+                                                                      existing):
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(_trace_bytes(_GOOD[:2]))
+    expected = _expected_audit(policy_dir, tmp_path, trace)
+    logs, links = tmp_path / "logs", tmp_path / "links"
+    logs.mkdir()
+    links.mkdir()
+    target, link = logs / "audit.jsonl.1", links / "audit.jsonl"
+    if existing:
+        target.write_text("old\n")
+    link.symlink_to(target)
+
+    assert _run_audit(policy_dir, trace, link) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == expected
+    assert os.listdir(logs) == ["audit.jsonl.1"]
+    assert os.listdir(links) == ["audit.jsonl"]
+
+
+def test_run_read_only_audit_file_fares_as_open_w_fares(policy_dir, tmp_path):
+    # open(path, "w") refuses a 0444 file, except to root, who may write it
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(_trace_bytes(_GOOD[:2]))
+    expected = _expected_audit(policy_dir, tmp_path, trace)
+    probe, audit = tmp_path / "probe", tmp_path / "audit.jsonl"
+    for path in (probe, audit):
+        path.write_text("old\n")
+        path.chmod(0o444)
+    try:
+        open(probe, "w").close()
+    except PermissionError:
+        assert _run_audit(policy_dir, trace, audit) == 2
+        assert audit.read_text() == "old\n"
+    else:
+        assert _run_audit(policy_dir, trace, audit) == 0
+        assert audit.read_bytes() == expected
+    assert stat.S_IMODE(audit.stat().st_mode) == 0o444
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".audit-")]
+
+
+@pytest.mark.parametrize("may_chown", [True, False], ids=["chown", "no-chown"])
+def test_run_keeps_the_owner_of_an_existing_audit_file(policy_dir, tmp_path, monkeypatch,
+                                                       may_chown):
+    # a file someone else owns is given the temp file its owner, or, where
+    # that is refused, written in place
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(_trace_bytes(_GOOD[:2]))
+    expected = _expected_audit(policy_dir, tmp_path, trace)
+    audit = tmp_path / "audit.jsonl"
+    audit.write_text("old\n")
+    if os.geteuid() == 0:
+        os.chown(audit, 65534, 65534)
+    audit.chmod(0o666)
+    before = audit.stat()
+    if not may_chown:
+        def refuse(*args):
+            raise PermissionError(1, "Operation not permitted")
+        monkeypatch.setattr(os, "fchown", refuse)
+    assert _run_audit(policy_dir, trace, audit) == 0
+    after = audit.stat()
+    assert (after.st_uid, after.st_gid) == (before.st_uid, before.st_gid)
+    assert audit.read_bytes() == expected
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".audit-")]
+
+
+def test_run_writes_a_hard_linked_audit_file_in_place(policy_dir, tmp_path):
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(_trace_bytes(_GOOD[:2]))
+    expected = _expected_audit(policy_dir, tmp_path, trace)
+    audit, other = tmp_path / "audit.jsonl", tmp_path / "other-name"
+    audit.write_text("old\n")
+    os.link(audit, other)
+    assert _run_audit(policy_dir, trace, audit) == 0
+    assert audit.stat().st_nlink == 2
+    assert other.read_bytes() == expected
+
+
+@pytest.mark.parametrize("via_symlink", [False, True], ids=["fifo", "symlink-to-fifo"])
+def test_run_writes_the_lines_into_a_fifo(policy_dir, tmp_path, via_symlink):
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(_trace_bytes(_GOOD[:2]))
+    expected = _expected_audit(policy_dir, tmp_path, trace)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    audit = fifo
+    if via_symlink:
+        audit = tmp_path / "audit.jsonl"
+        audit.symlink_to(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert _run_audit(policy_dir, trace, audit) == 0
+    reader.join(timeout=30)
+    assert received == [expected]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".audit-")]
+
+
+def test_run_directory_as_audit_path_exits_2(policy_dir, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(_trace_bytes(_GOOD[:2]))
+    assert _run_audit(policy_dir, trace, tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: I/O error in run: ")
 
 # --- a million events --------------------------------------------------------------
 
