@@ -27,6 +27,30 @@ from .errors import (
     UnknownRuleKind,
 )
 
+try:
+    from yaml.cyaml import CParser
+except ImportError:  # PyYAML built without libyaml
+    _Loader = yaml.SafeLoader
+else:
+    class _Loader(CParser, yaml.composer.Composer,
+                  yaml.constructor.SafeConstructor, yaml.resolver.Resolver):
+        """SafeLoader with libyaml's scanner and parser.
+
+        The nodes are composed in Python, not by CParser: its composer
+        recurses on the C stack, so deep nesting would crash the
+        interpreter instead of raising RecursionError.
+        """
+
+        get_single_node = yaml.composer.Composer.get_single_node
+        compose_document = yaml.composer.Composer.compose_document
+        compose_node = yaml.composer.Composer.compose_node
+
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            yaml.composer.Composer.__init__(self)
+            yaml.constructor.SafeConstructor.__init__(self)
+            yaml.resolver.Resolver.__init__(self)
+
 DEFAULT_POLICY_DIR = "/var/lib/bpfcontain/policy"
 POLICY_DIR_ENV_VAR = "BPFCONTAIN_POLICY_DIR"
 
@@ -338,7 +362,7 @@ def _parse_rule_list(doc: dict, key: str) -> list[Rule]:
 def parse_policy(text: str) -> PolicyDocument:
     """Parse one YAML policy document into a normalized PolicyDocument."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:  # too long an int, too deep
         raise MalformedYaml(str(exc)) from exc
     if not isinstance(doc, dict):
