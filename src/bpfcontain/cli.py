@@ -56,10 +56,14 @@ _CAPACITY_TARGETS = MAP_CATEGORIES + ("containers", "audit")
 
 def _parse_capacity(spec: str) -> tuple[str, int]:
     category, sep, value = spec.partition("=")
-    if not sep or category not in _CAPACITY_TARGETS or not value.isdigit() or int(value) <= 0:
+    try:
+        n = int(value) if value.isascii() and value.isdigit() else 0
+    except ValueError:  # more digits than int() converts
+        n = 0
+    if not sep or category not in _CAPACITY_TARGETS or n <= 0:
         raise argparse.ArgumentTypeError(
             f"expected <category>=<n> with category in {', '.join(_CAPACITY_TARGETS)}: {spec!r}")
-    return category, int(value)
+    return category, n
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -359,11 +359,28 @@ def _parse_rule_list(doc: dict, key: str) -> list[Rule]:
     return [_parse_rule(entry) for entry in raw]
 
 
+def _check_utf8(doc):
+    """Raise UnicodeEncodeError (a ValueError) for any string in the loaded
+    document, keys included, that UTF-8 cannot hold: a lone surrogate, which
+    a ``\\u`` escape can name and only libyaml refuses while parsing."""
+    stack, seen = [doc], set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            node.encode("utf-8")
+        elif isinstance(node, (dict, list, tuple, set)) and id(node) not in seen:
+            seen.add(id(node))  # aliases may share a node or make a cycle
+            stack.extend(node)
+            if isinstance(node, dict):
+                stack.extend(node.values())
+
+
 def parse_policy(text: str) -> PolicyDocument:
     """Parse one YAML policy document into a normalized PolicyDocument."""
     try:
         doc = yaml.load(text, Loader=_Loader)
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # too long an int, too deep
+        _check_utf8(doc)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # long int, surrogate, depth
         raise MalformedYaml(str(exc)) from exc
     if not isinstance(doc, dict):
         raise MalformedYaml("policy document must be a YAML mapping")

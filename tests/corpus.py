@@ -1,15 +1,23 @@
 """Shared test corpus: fixed rule vocabulary, event vocabulary, and world
-builders used by the oracle-equivalence, parity, and property tests.
+builders used by the oracle-equivalence, parity, and property tests, and
+the one loader of the benchmark's workload generators.
 
 The vocabulary is deliberately small and overlapping: paths that hit file,
 subdir, filesystem, and device tiers at once; both boundary depths of the
 subdir nesting limit; own/foreign procfs; owned/foreign overlayfs.
+
+The replay workload is perfbench's ``steady_mix``, not a copy of it: the
+tests load ``perfbench/workloads.py`` through ``workloads`` here, so
+criterion 8's trace and the benchmark's are made by the same code.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 from bpfcontain.compiler import compile_policies
 from bpfcontain.events import (
@@ -41,8 +49,10 @@ from bpfcontain.policy import (
     PolicyDocument,
     SubdirRule,
     parse_access,
+    parse_policy,
 )
 from bpfcontain.state import ContainerState
+from bpfcontain.trace import parse_trace
 
 from oracle import OracleWorld
 
@@ -233,155 +243,27 @@ def random_event(rng: random.Random):
     return rng.choice(EVENTS)
 
 
-# --- synthetic replay workload (perf criterion and perfbench steady_mix) ------
+# --- the steady_mix workload (criterion 8 and perfbench) -------------------
 
-WORKLOAD_POLICIES = """\
-name: web
-entry: /usr/bin/httpd
-allow:
-  - network: client server send receive
-  - subdir: /srv/www r
-  - file: /var/log/web.log ra
-  - tty: rw
----
-name: db
-entry: /usr/bin/mysqld
-allow:
-  - subdir: /var/lib/db rw
-  - network: server send receive
-  - ipc: web
-taint:
-  - network: server
----
-name: worker
-entry: /usr/bin/worker
-allow:
-  - subdir: /data rw
-  - device: random r
-  - capability: CAP_KILL
-deny:
-  - file: /data/secrets r
----
-name: logger
-entry: /usr/bin/logger
-allow:
-  - file: /var/log/app.log ra
-  - filesystem: /tmp rw
----
-name: sandboxed
-entry: /usr/bin/untrusted
----
-name: desktop
-entry: /usr/bin/app
-default: allow
-deny:
-  - subdir: /home/user/secrets rw
-  - network: server
----
-name: backup
-entry: /usr/bin/backup
-allow:
-  - filesystem: / r
-  - file: /backup/out.tar rwa
-taint:
-  - file: /backup/out.tar w
----
-name: monitor
-entry: /usr/bin/monitor
-allow:
-  - subdir: /proc r
-  - device: zero r
----
-name: chat
-entry: /usr/bin/chat
-allow:
-  - network: client send receive
-  - ipc: web
-  - tty: rw
----
-name: builder
-entry: /usr/bin/make
-allow:
-  - subdir: /build rw
-  - subdir: /usr/include r
-  - device: null w
-"""
+def _load_workloads():
+    """``perfbench/workloads.py``, the one generator of the benchmark's
+    workloads, loaded read-only: ``perfbench`` is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
-def workload_policies():
-    from bpfcontain.policy import parse_policy
-    return [parse_policy(text) for text in WORKLOAD_POLICIES.split("---\n")]
+workloads = _load_workloads()
+# perfbench/test_perfbench.py imports this name
+WORKLOAD_POLICIES = workloads.STEADY_POLICIES
 
 
-def synthetic_workload(n_events: int, seed: int = 0x5EED):
-    """A deterministic (store, trace) pair: 10 policies, file-heavy events."""
-    from bpfcontain.trace import Confine, Exit, Fork, TraceEvent
-
-    docs = workload_policies()
-    names = [d.name for d in docs]
-    store = compile_policies(docs)
-    rng = random.Random(seed)
-
-    paths = (
-        ["/srv/www/index.html", "/srv/www/a/b/c.css", "/var/log/web.log",
-         "/var/lib/db/table", "/data/in/file", "/data/secrets",
-         "/var/log/app.log", "/tmp/scratch", "/home/user/secrets/key",
-         "/backup/out.tar", "/build/obj/main.o", "/usr/include/stdio.h",
-         "/etc/passwd", "/usr/lib/libc.so.6", "/opt/tool/bin"]
-        + [f"/data/tree/{i}/{j}/leaf" for i in range(4) for j in range(4)]
-        + ["/dev/tty", "/dev/pts/0", "/dev/urandom", "/dev/null", "/dev/zero"]
-    )
-    flags = ["r", "w", "ra", "rw", "rx"]
-
-    events = []
-    pids = []
-    next_pid = 1
-    seq = 0
-
-    def emit(ev):
-        nonlocal seq
-        seq += 1
-        events.append(TraceEvent(seq, ev))
-
-    for name in names * 3:  # 30 containers up front
-        emit(Confine(next_pid, name,
-                     mount_ns=rng.randint(1, 5), ipc_ns=rng.randint(1, 3)))
-        pids.append(next_pid)
-        next_pid += 1
-
-    while len(events) < n_events:
-        pid = rng.choice(pids)
-        roll = rng.random()
-        if roll < 0.70:
-            kind = rng.random()
-            if kind < 0.85:
-                emit(FileAccess(pid, rng.choice(paths), parse_access(rng.choice(flags))))
-            elif kind < 0.92:
-                emit(FileAccess(pid, f"/proc/{rng.choice(pids)}/status",
-                                parse_access("r"), fs_kind=FsKind.PROCFS,
-                                proc_subject_pid=rng.choice(pids)))
-            else:
-                emit(FileAccess(pid, "/merged/layer/file", parse_access("rw"),
-                                fs_kind=FsKind.OVERLAYFS,
-                                owner_mount_ns=rng.randint(1, 5)))
-        elif roll < 0.85:
-            emit(SocketOp(pid, rng.choice((SocketFamily.IPV4, SocketFamily.IPV6)),
-                          rng.choice(tuple(SocketOpKind))))
-        elif roll < 0.90:
-            emit(CapabilityUse(pid, rng.choice(("CAP_KILL", "CAP_SYS_ADMIN")),
-                               rng.random() < 0.8))
-        elif roll < 0.94:
-            emit(IpcOp(pid, rng.choice(pids), rng.choice(tuple(IpcMechanism))))
-        elif roll < 0.97 and len(pids) < 500:
-            emit(Fork(pid, next_pid))
-            pids.append(next_pid)
-            next_pid += 1
-        elif roll < 0.99:
-            emit(HardeningOp(pid, rng.choice(tuple(HardeningKind))))
-        elif len(pids) > 40:
-            gone = pids.pop(rng.randrange(len(pids)))
-            emit(Exit(gone))
-        else:
-            emit(SwitchNamespaces(pid))
-
-    return store, events[:n_events]
+def synthetic_workload(n_events: int, seed: int = workloads.DEFAULT_SEED):
+    """steady_mix as a (store, events) pair: its 10 policies compiled and its
+    trace parsed, the bytes ``bpfcontain run`` reads in the benchmark."""
+    workload = workloads.steady_mix(seed, n_events)
+    store = compile_policies([parse_policy(text) for _, text in workload.policies])
+    return store, parse_trace(workload.trace_lines())

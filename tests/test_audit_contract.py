@@ -3,29 +3,17 @@ pinned seed writes exactly the audit bytes whose SHA-256 is pinned in
 ``perfbench/reference.json``."""
 
 import hashlib
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from bpfcontain.cli import main
 
+from corpus import workloads
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _workloads()
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE["audit_sha256"]))

@@ -298,10 +298,14 @@ def test_explain_rejects_lifecycle_events(policy_dir):
                    "--policy", "hello_minimal", "--event", event) == 3
 
 
-def test_bad_capacity_flag_is_a_usage_error(policy_dir):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("--policy-dir", str(policy_dir), "--capacity", "file=zero", "lint")
-    assert exc.value.code == 2
+def test_bad_capacity_flag_is_a_usage_error(policy_dir, capsys):
+    # not a number; non-ASCII digits, which str.isdigit() accepts; more
+    # digits than int() converts
+    for spec in ("file=zero", "file=\u00b2", "file=\u0661\u0662", "file=" + "9" * 5000):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--policy-dir", str(policy_dir), "--capacity", spec, "lint")
+        assert exc.value.code == 2, spec[:20]
+        assert "expected <category>=<n>" in capsys.readouterr().err, spec[:20]
 
 
 def test_run_huge_pid_exits_3_whatever_the_digit_limit(policy_dir, tmp_path):

@@ -6,11 +6,9 @@ rather than a crash of the interpreter.
 """
 
 import ast
-import importlib.util
 import os
 import subprocess
 import sys
-from functools import cache
 from pathlib import Path
 
 import pytest
@@ -20,12 +18,12 @@ from hypothesis import strategies as st
 
 from bpfcontain import policy
 from bpfcontain.cli import main
-from bpfcontain.errors import MalformedYaml
+from bpfcontain.errors import MalformedRule, MalformedYaml
+
+from corpus import workloads
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
-PERFBENCH = ROOT / "perfbench"
-WORKLOADS = ("steady_mix", "cold_paths", "lifecycle_churn")
 
 requires_libyaml = pytest.mark.skipif(
     policy._Loader is yaml.SafeLoader, reason="PyYAML is built without libyaml")
@@ -68,8 +66,9 @@ def test_loader_uses_libyaml_when_present():
 # --- the policies the tests and the benchmark use ---------------------------
 
 def _test_policy_texts():
-    """Every string literal in the other test modules that holds a policy."""
-    texts = set()
+    """Every string literal in the other test modules that holds a policy,
+    and the steady_mix policies the tests replay."""
+    texts = set(workloads.STEADY_POLICIES.split("---\n"))
     for path in sorted(TESTS.glob("*.py")):
         if path.name == Path(__file__).name:
             continue
@@ -85,10 +84,8 @@ TEST_POLICY_TEXTS = _test_policy_texts()
 
 def test_the_harvest_finds_the_fixture_policies():
     from conftest import MINIMAL_POLICY, TAINT_POLICY
-    from corpus import WORKLOAD_POLICIES
 
-    wanted = {MINIMAL_POLICY, TAINT_POLICY, *WORKLOAD_POLICIES.split("---\n")}
-    assert wanted <= set(TEST_POLICY_TEXTS)
+    assert {MINIMAL_POLICY, TAINT_POLICY} <= set(TEST_POLICY_TEXTS)
 
 
 @pytest.mark.parametrize("text", TEST_POLICY_TEXTS)
@@ -96,19 +93,9 @@ def test_test_policies_load_alike(text):
     _assert_same(text)
 
 
-@cache
-def _workload_policies(name):
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module.build(name, module.DEFAULT_SEED).policies
-
-
-@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize("name", workloads.GENERATORS)
 def test_workload_policies_parse_alike(name):
-    texts = [text for _, text in _workload_policies(name)]
+    texts = [text for _, text in workloads.build(name, workloads.DEFAULT_SEED).policies]
     assert texts
     for text in texts:
         kind, doc = _parse(policy._Loader, text)
@@ -179,7 +166,8 @@ def test_both_loaders_refuse(text):
         policy.parse_policy(text)
 
 
-# Where libyaml is stricter than SafeLoader, which accepts both of these.
+# Where libyaml is stricter than SafeLoader, which loads both of these;
+# parse_policy refuses the surrogate under either loader (below).
 @requires_libyaml
 @pytest.mark.parametrize("text", [
     "%FOO bar\n---\n" + _HEADER,   # an unknown directive
@@ -222,6 +210,46 @@ def test_fallback_lint_matches(policy_dir):
     assert normal.returncode == 0, normal.stderr
     assert (fallback.returncode, fallback.stdout, fallback.stderr) == \
         (normal.returncode, normal.stdout, normal.stderr)
+
+
+# A lone surrogate cannot be written as UTF-8; SafeLoader builds it from the
+# escape, and parse_policy refuses it wherever it is, a key included.
+SURROGATE_ESCAPES = {
+    "name": 'name: "x\\ud800"\nentry: /bin/sh\n',
+    "ipc": 'name: p\nentry: /bin/sh\nallow:\n  - ipc: "z\\udc00"\n',
+    "key": 'name: p\nentry: /bin/sh\nallow:\n  - "tty\\ud800": rw\n',
+}
+
+
+@pytest.mark.parametrize("text", SURROGATE_ESCAPES.values(), ids=SURROGATE_ESCAPES.keys())
+def test_both_loaders_refuse_a_surrogate_escape(text):
+    for loader in (policy._Loader, yaml.SafeLoader):
+        assert _parse(loader, text) == ("error", MalformedYaml)
+
+
+def test_a_self_referencing_alias_is_checked_once():
+    text = _HEADER + "allow: &rules [*rules]\n"
+    for loader in (policy._Loader, yaml.SafeLoader):
+        kind, (exc_type, _) = _parse(loader, text)
+        assert (kind, exc_type) == ("error", MalformedRule)
+
+
+# as a policy name or an ipc peer, it crashed policy_id in ``run`` after
+# ``lint`` had passed it
+@pytest.mark.parametrize("case", ["name", "ipc"])
+def test_fallback_refuses_a_surrogate_escape(tmp_path, case):
+    text = SURROGATE_ESCAPES[case]
+    policies = tmp_path / "policies"
+    policies.mkdir()
+    (policies / "p.yml").write_text(text)
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"format": 1}\n'
+                     '{"seq": 1, "kind": "confine", "pid": 1, "policy_name": "p"}\n')
+    for command in (["lint"], ["run", "--trace", str(trace)]):
+        proc = _python(_CLI, "--policy-dir", str(policies), *command, fallback=True)
+        assert proc.returncode == 1, proc.stderr
+        assert b"error: [ParseError] p.yml: " in proc.stderr
+        assert b"Traceback" not in proc.stderr
 
 
 # A parser that recursed on the C stack would die of SIGSEGV here, which is

@@ -18,7 +18,7 @@ from bpfcontain.cli import main
 from bpfcontain.errors import MalformedEvent
 from bpfcontain.trace import AuditWriter, Exit, TraceEvent, iter_trace, replay
 
-from corpus import synthetic_workload
+from corpus import synthetic_workload, workloads
 
 SRC = Path(bpfcontain.__file__).resolve().parent.parent
 
@@ -301,8 +301,6 @@ sys.exit(rc)
 
 @pytest.mark.slow
 def test_a_million_events_replay_in_flat_memory(tmp_path):
-    from test_audit_contract import workloads
-
     workload = workloads.steady_mix(24301, 1_000_000)
     policy_dir = tmp_path / "policies"
     policy_dir.mkdir()
