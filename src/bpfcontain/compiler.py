@@ -98,6 +98,8 @@ class CompiledPolicyStore:
         self._path_maps: dict[str, dict[int, dict[str, tuple[int, int, int]]]] = {
             "file": {}, "subdir": {}, "filesystem": {}, "device": {},
         }
+        # policy_id -> components of its deepest subdir or filesystem key
+        self._tops: dict[int, int] = {}
         self._network: dict[int, tuple[int, int, int]] = {}
         self._ipc: dict[tuple[int, int], int] = {}
         self._capability: dict[tuple[int, str], int] = {}
@@ -138,6 +140,10 @@ class CompiledPolicyStore:
         self._charge(category, old is None)
         a, d, t = old or (0, 0, 0)
         per_policy[key] = (a | int(allow), d | int(deny), t | int(taint))
+        if category == "subdir" or category == "filesystem":
+            depth = key.count("/") if key != "/" else 0
+            if depth > self._tops.get(pid, 0):
+                self._tops[pid] = depth
 
     def merge_network_rule(self, pid: int, allow=0, deny=0, taint=0):
         self._check_mutable()
@@ -209,11 +215,17 @@ class CompiledPolicyStore:
 
     # Internal tables handed to the decision kernels (hot path; do not mutate).
     def kernel_tables(self, pid: int):
+        """The policy's file, subdir, filesystem and device tables (each None
+        if it has no such rule), then ``top``: the number of components in
+        its deepest subdir or filesystem key, ``/`` counting 0, and 0 if it
+        has neither kind.  The file kernel walks no ancestor deeper than
+        ``top``."""
         return (
             self._path_maps["file"].get(pid),
             self._path_maps["subdir"].get(pid),
             self._path_maps["filesystem"].get(pid),
             self._path_maps["device"].get(pid),
+            self._tops.get(pid, 0),
         )
 
 

@@ -84,12 +84,16 @@ def classify_device(path):
     return -1
 
 
-def decide_file_access(file_t, subdir_t, fs_t, dev_t,
+def decide_file_access(file_t, subdir_t, fs_t, dev_t, top,
                        default_allow, tainted,
                        path, requested, fs_kind, implicit):
     """Stages 3-8 of the pipeline for one file access.
 
     ``file_t``..``dev_t`` are this policy's per-category tables (or None).
+    ``top`` is the number of components in the policy's deepest subdir or
+    filesystem key (``/`` has none): a key names a path, so an ancestor with
+    more components than ``top`` cannot match either table, and the walk up
+    from the path looks up only the ancestors with at most ``top``.
     ``implicit`` is the implicit filesystem policy the engine derived from
     the container: 0 for none, else the reason it leads to (``R_PROC_SELF``
     for an own procfs/sysfs entry, ``R_PROC_FOREIGN`` for a foreign one,
@@ -108,28 +112,34 @@ def decide_file_access(file_t, subdir_t, fs_t, dev_t,
         entry = file_t.get(path)
         if entry is not None:
             hits.append((T_FILE, path, entry))
+    # The ancestors top-down, from "/" (0 components) to the deepest one a
+    # key can name: the path's n components less one, or ``top``.  A subdir
+    # rule reaches the path from at most _SUBDIR_REACH levels up; each
+    # subdir hit is inserted where the first one went, so the nearest ends
+    # up first.  A deeper filesystem hit (a longer mountpoint) overwrites a
+    # shallower one.
+    n = path.count("/") if len(path) > 1 else 0
+    first = len(hits)
+    near = n - _SUBDIR_REACH if subdir_t is not None else n
     fs_hit = None
-    if fs_t is not None:
-        entry = fs_t.get(path)
-        if entry is not None:
-            fs_hit = (T_FS, path, entry)
-    need_fs = fs_t is not None and fs_hit is None
-    reach = _SUBDIR_REACH if subdir_t is not None else 0
-    anc = path
-    depth = 0
-    while anc != "/" and (need_fs or depth < reach):
-        cut = anc.rfind("/")
-        anc = anc[:cut] if cut > 0 else "/"
-        depth += 1
-        if depth <= reach:
+    anc = "/"
+    cut = 0
+    for k in range(n if n <= top else top + 1):
+        if k:
+            cut = path.find("/", cut + 1)
+            anc = path[:cut]
+        if k >= near:
             entry = subdir_t.get(anc)
             if entry is not None:
-                hits.append((T_SUBDIR, anc, entry))
-        if need_fs:
+                hits.insert(first, (T_SUBDIR, anc, entry))
+        if fs_t is not None:
             entry = fs_t.get(anc)
             if entry is not None:
                 fs_hit = (T_FS, anc, entry)
-                need_fs = False
+    if fs_t is not None and n <= top:
+        entry = fs_t.get(path)
+        if entry is not None:
+            fs_hit = (T_FS, path, entry)
     if fs_hit is not None:
         hits.append(fs_hit)
     if dev_t is not None:

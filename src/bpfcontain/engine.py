@@ -55,6 +55,10 @@ from .policy import format_access, format_device, format_net
 from .state import Container, ContainerState
 
 
+# the file-system kinds decide() tests for each FileAccess, loaded once
+_PROCFS, _SYSFS, _OVERLAYFS = FsKind.PROCFS, FsKind.SYSFS, FsKind.OVERLAYFS
+
+
 class Verdict(Enum):
     ALLOW = "Allow"
     DENY = "Deny"
@@ -229,20 +233,20 @@ def decide(event: HookEvent, state: ContainerState,
     if isinstance(event, FileAccess):
         fs_kind = event.fs_kind
         implicit = 0
-        if fs_kind == FsKind.PROCFS or fs_kind == FsKind.SYSFS:
+        if fs_kind == _PROCFS or fs_kind == _SYSFS:
             implicit = (R_PROC_SELF if event.proc_subject_pid in container.pid_set
                         else R_PROC_FOREIGN)
-        elif (fs_kind == FsKind.OVERLAYFS and event.owner_mount_ns is not None
+        elif (fs_kind == _OVERLAYFS and event.owner_mount_ns is not None
               and event.owner_mount_ns == container.mount_ns):
             implicit = R_OVERLAY
-        file_t, subdir_t, fs_t, dev_t = store.kernel_tables(container.policy_id)
+        file_t, subdir_t, fs_t, dev_t, top = store.kernel_tables(container.policy_id)
         verdict, code, detail, taint_detail = core.decide_file_access(
-            file_t, subdir_t, fs_t, dev_t,
+            file_t, subdir_t, fs_t, dev_t, top,
             meta.default_allow, container.tainted,
             event.path, int(event.requested), int(fs_kind), implicit,
         )
         if code == R_PROC_SELF or code == R_PROC_FOREIGN:
-            detail = "procfs" if fs_kind == FsKind.PROCFS else "sysfs"
+            detail = "procfs" if fs_kind == _PROCFS else "sysfs"
         return _finish(verdict, code, detail, container, meta.name, state, taint_detail)
 
     if isinstance(event, SocketOp):

@@ -2,6 +2,8 @@
 
 These are the inputs to the decision pipeline; lifecycle records (confine,
 fork, exit) live in the trace layer and mutate container state instead.
+Both are slotted dataclasses, cheap to build: equal only to an event of the
+same type with the same fields, mutable and unhashable.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class HardeningKind(IntEnum):
     UNLINK_PINNED_OBJECT = 5
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FileAccess:
     pid: int
     path: str
@@ -67,7 +69,7 @@ class FileAccess:
         return f"FileAccess {self.path} {format_access(self.requested)}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SocketOp:
     pid: int
     family: SocketFamily
@@ -77,7 +79,7 @@ class SocketOp:
         return f"SocketOp {_FAMILY_NAMES[self.family]} {_SOCKOP_NAMES[self.op]}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IpcOp:
     pid: int
     peer_pid: int
@@ -87,7 +89,7 @@ class IpcOp:
         return f"IpcOp peer={self.peer_pid} {_IPC_NAMES[self.mechanism]}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CapabilityUse:
     pid: int
     capability: str
@@ -98,13 +100,13 @@ class CapabilityUse:
         return f"CapabilityUse {self.capability} ({state})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PrivLevel:
     uid: int
     capability_set: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommitCreds:
     pid: int
     old_priv: PrivLevel
@@ -121,7 +123,7 @@ class CommitCreds:
         return f"CommitCreds uid {self.old_priv.uid}->{self.new_priv.uid}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SwitchNamespaces:
     pid: int
 
@@ -129,7 +131,7 @@ class SwitchNamespaces:
         return "SwitchNamespaces"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HardeningOp:
     pid: int
     op: HardeningKind

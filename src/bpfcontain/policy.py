@@ -382,6 +382,11 @@ def parse_policy(text: str) -> PolicyDocument:
         _check_utf8(doc)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:  # long int, surrogate, depth
         raise MalformedYaml(str(exc)) from exc
+    except (LookupError, AttributeError) as exc:
+        # a tag's constructor tripping on its value: KeyError for `!!bool maybe`,
+        # IndexError for `!!int ''`, AttributeError for `!!timestamp foo`
+        raise MalformedYaml(
+            f"cannot construct a tagged value ({type(exc).__name__}: {exc})") from exc
     if not isinstance(doc, dict):
         raise MalformedYaml("policy document must be a YAML mapping")
 

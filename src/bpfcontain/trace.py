@@ -65,7 +65,7 @@ DEFAULT_AUDIT_CAPACITY = 65536
 
 # --- lifecycle records --------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Confine:
     pid: int
     policy_name: str
@@ -76,7 +76,7 @@ class Confine:
         return f"confine pid={self.pid} policy={self.policy_name}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Fork:
     parent: int
     child: int
@@ -85,7 +85,7 @@ class Fork:
         return f"fork {self.parent}->{self.child}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Exit:
     pid: int
 
@@ -250,6 +250,7 @@ _SOCK_OPS = {name: op for op, name in _SOCKOP_NAMES.items()}
 _MECHANISMS = {name: mech for mech, name in _IPC_NAMES.items()}
 _HARDENING_OPS = {name: op for op, name in _HARDENING_NAMES.items()}
 _CAPABILITIES = {name: name for name in CAPABILITIES}
+_REGULAR = FsKind.REGULAR  # a FileAccess's fs_kind when the line names none
 
 
 def _need(obj: dict, key: str, types, seq) -> object:
@@ -320,7 +321,7 @@ def _parse_file_access(obj: dict, seq: int) -> FileAccess:
         requested = parse_access(requested)
     except BadAccessFlags as exc:
         raise MalformedEvent(seq, f"bad requested flags: {exc}") from exc
-    fs_kind = _enum_field(obj, "fs_kind", _FS_KINDS, seq) if "fs_kind" in obj else FsKind.REGULAR
+    fs_kind = _enum_field(obj, "fs_kind", _FS_KINDS, seq) if "fs_kind" in obj else _REGULAR
     owner_ns = obj.get("owner_mount_ns")
     if owner_ns is not None:
         owner_ns = _int(owner_ns, "owner_mount_ns", seq, _U64_MAX)

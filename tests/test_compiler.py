@@ -75,6 +75,33 @@ def test_compile_taint_policy_merges_same_key():
     assert not store.meta(pid).tainted_from_start
 
 
+# policy text -> kernel_tables' fifth value: the components of the deepest
+# subdir or filesystem key, which bounds the file kernel's ancestor walk
+WALK_BOUNDS = {
+    "subdir-and-root": ("  - subdir: /a/b/c r\n  - filesystem: / rw\n", 3),
+    "file-rules-only": ("  - file: /a/b/c/d/e r\n  - tty: rw\n", 0),
+    "root-only": ("  - filesystem: / r\n", 0),
+    "several-depths": ("  - subdir: /a r\n  - filesystem: /v/w/x/y rw\n"
+                       "  - subdir: /p/q/ r\n  - file: /a/b/c/d/e/f r\n", 4),
+}
+
+
+@pytest.mark.parametrize("rules,top", WALK_BOUNDS.values(), ids=WALK_BOUNDS.keys())
+def test_kernel_tables_bound_the_ancestor_walk(rules, top):
+    store = compile_policies([parse_policy(f"name: p\nentry: /bin/p\nallow:\n{rules}")])
+    assert store.kernel_tables(policy_id("p"))[4] == top
+
+
+def test_walk_bound_is_per_policy_and_spans_rule_lists():
+    store = compile_policies([
+        parse_policy("name: deep\nentry: /bin/p\nallow:\n  - subdir: /a r\n"
+                     "deny:\n  - filesystem: /a/b w\ntaint:\n  - subdir: /a/b/c/d r\n"),
+        parse_policy("name: flat\nentry: /bin/p\nallow:\n  - filesystem: /a rw\n"),
+    ])
+    assert store.kernel_tables(policy_id("deep"))[4] == 4
+    assert store.kernel_tables(policy_id("flat"))[4] == 1
+
+
 def test_capacity_exceeded_by_seventeenth_file_rule():
     rules = "\n".join(f"  - file: /f{i} r" for i in range(17))
     doc = parse_policy(f"name: x\nentry: /bin/sh\nallow:\n{rules}\n")

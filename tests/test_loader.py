@@ -212,6 +212,34 @@ def test_fallback_lint_matches(policy_dir):
         (normal.returncode, normal.stdout, normal.stderr)
 
 
+# every SafeConstructor tag with a value its constructor cannot build; some
+# of them fail with KeyError, IndexError or AttributeError, not a YAMLError
+MALFORMED_TAGS = {
+    "bool": "!!bool maybe",
+    "int": "!!int ''",
+    "float": "!!float ''",
+    "timestamp": "!!timestamp foo",
+    "binary": "!!binary a",
+    "set": "!!set [1]",
+    "omap": "!!omap x",
+    "pairs": "!!pairs x",
+    "null": "!!null [1]",
+}
+
+
+@pytest.mark.parametrize("value", MALFORMED_TAGS.values(), ids=MALFORMED_TAGS.keys())
+def test_malformed_tagged_values_are_parse_errors(tmp_path, value):
+    text = _HEADER + f"default: {value}\n"
+    for loader in (policy._Loader, yaml.SafeLoader):
+        assert _parse(loader, text) == ("error", MalformedYaml)
+    (tmp_path / "p.yml").write_text(text)
+    for fallback in (False, True):
+        proc = _python(_CLI, "--policy-dir", str(tmp_path), "lint", fallback=fallback)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(b"error: [ParseError] p.yml: ")
+        assert b"Traceback" not in proc.stderr
+
+
 # A lone surrogate cannot be written as UTF-8; SafeLoader builds it from the
 # escape, and parse_policy refuses it wherever it is, a key included.
 SURROGATE_ESCAPES = {

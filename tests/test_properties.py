@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from bpfcontain import core
 from bpfcontain.core import (
     R_DENY_RULE,
+    R_EXEMPT,
     R_OVERLAY,
     R_PROC_FOREIGN,
     R_PROC_SELF,
@@ -259,7 +260,10 @@ def file_kernel_inputs(draw):
     file_t, subdir_t, fs_t = path_table(), path_table(), path_table()
     dev_t = draw(st.none() | st.dictionaries(st.sampled_from([int(k) for k in DeviceKind]),
                                              entries, max_size=4))
-    return (file_t, subdir_t, fs_t, dev_t, draw(st.booleans()), draw(st.booleans()),
+    # the deepest subdir or filesystem key's components: its ancestors
+    top = max((len(_lineage(key)) - 1 for table in (subdir_t, fs_t) if table
+               for key in table), default=0)
+    return (file_t, subdir_t, fs_t, dev_t, top, draw(st.booleans()), draw(st.booleans()),
             path, draw(masks), int(draw(st.sampled_from(FsKind))),
             draw(st.sampled_from((0, R_PROC_SELF, R_PROC_FOREIGN, R_OVERLAY))))
 
@@ -283,24 +287,43 @@ def _expected_hits(file_t, subdir_t, fs_t, dev_t, path):
     return hits
 
 
-@settings(max_examples=300, deadline=None)
-@given(file_kernel_inputs())
-def test_file_kernel_names_the_most_specific_rule(args):
-    file_t, subdir_t, fs_t, dev_t, _, _, path, requested, _, implicit = args
+def _check_provenance(args):
+    file_t, subdir_t, fs_t, dev_t, _, _, _, path, requested, _, implicit = args
     _, code, detail, taint_detail = core.decide_file_access(*args)
+    # the whole lineage, not only the ancestors within the kernel's bound
     hits = _expected_hits(file_t, subdir_t, fs_t, dev_t, path)
 
     def first_meeting(stage):
-        return next((tier, key, entry[stage] & requested) for tier, key, entry in hits
-                    if entry[stage] & requested)
+        return next(((tier, key, entry[stage] & requested) for tier, key, entry in hits
+                     if entry[stage] & requested), None)
 
+    foreign = implicit == R_PROC_FOREIGN
+    grant = next(((tier, key, entry[0]) for tier, key, entry in hits
+                  if entry[0] and (not foreign or tier in (T_FILE, T_SUBDIR))), None)
+    if code == R_EXEMPT:
+        assert first_meeting(2) is None
     if code == R_DENY_RULE:
         assert detail == first_meeting(1)
     if taint_detail is not None:
         assert taint_detail == first_meeting(2)
     if code == R_ALLOW_RULE:
-        foreign = implicit == R_PROC_FOREIGN
-        grant = next((tier, key, entry[0]) for tier, key, entry in hits
-                     if entry[0] and (not foreign or tier in (T_FILE, T_SUBDIR)))
         assert detail == grant
         assert not requested & ~grant[2]
+    if code == R_DEFAULT:
+        # a rule the kernel missed would have denied or granted instead
+        assert first_meeting(1) is None
+        assert grant is None or requested & ~grant[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(file_kernel_inputs())
+def test_file_kernel_names_the_most_specific_rule(args):
+    _check_provenance(args)
+
+
+# the same property over far more table shapes, for the bounded walk
+@pytest.mark.slow
+@settings(max_examples=5000, deadline=None)
+@given(file_kernel_inputs())
+def test_file_kernel_names_the_most_specific_rule_at_depth(args):
+    _check_provenance(args)

@@ -1,5 +1,6 @@
 """Trace parsing, replay semantics, and audit determinism."""
 
+import dataclasses
 import io
 import json
 
@@ -7,6 +8,7 @@ import pytest
 
 from bpfcontain.errors import MalformedEvent, OutOfOrderTrace, TraceError
 from bpfcontain.events import (
+    CapabilityUse,
     CommitCreds,
     FileAccess,
     FsKind,
@@ -18,6 +20,7 @@ from bpfcontain.events import (
     SocketFamily,
     SocketOp,
     SocketOpKind,
+    SwitchNamespaces,
 )
 from bpfcontain.policy import parse_access
 from bpfcontain.trace import (
@@ -375,3 +378,35 @@ def test_trace_seq_is_a_signed_64_bit_integer():
         with pytest.raises(MalformedEvent) as exc:
             parse_trace(_lines({"seq": seq, "kind": "exit", "pid": 0}))
         assert exc.value.why == "seq must fit in a signed 64-bit integer"
+
+
+# one of every event and lifecycle class
+EVENT_EXAMPLES = (
+    FileAccess(1, "/a", parse_access("r")),
+    SocketOp(1, SocketFamily.IPV4, SocketOpKind.CREATE),
+    IpcOp(1, 2, IpcMechanism.SIGNAL),
+    CapabilityUse(1, "CAP_KILL", True),
+    PrivLevel(0),
+    CommitCreds(1, PrivLevel(1000), PrivLevel(0)),
+    SwitchNamespaces(5),
+    HardeningOp(1, HardeningKind.PTRACE),
+    Confine(1, "p"),
+    Fork(1, 2),
+    Exit(5),
+)
+
+
+@pytest.mark.parametrize("event", EVENT_EXAMPLES, ids=lambda ev: type(ev).__name__)
+def test_event_classes_are_slotted(event):
+    cls = type(event)
+    assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+    assert not hasattr(event, "__dict__")
+
+
+def test_event_equality_is_per_type():
+    assert Exit(5) != SwitchNamespaces(5)
+    assert Fork(1, 2) != IpcOp(1, 2, IpcMechanism.SIGNAL)
+    for i, a in enumerate(EVENT_EXAMPLES):
+        for j, b in enumerate(EVENT_EXAMPLES):
+            assert (a == b) == (i == j)
+        assert a == dataclasses.replace(a)
