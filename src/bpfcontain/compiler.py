@@ -7,7 +7,7 @@ sealed read-only for the lifetime of the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 from .errors import CapacityExceeded, EmptyName, PolicyIdCollision, StoreSealed
@@ -67,42 +67,49 @@ class MapCapacities:
 
 @dataclass(frozen=True)
 class PolicyMeta:
+    """A policy's header and, once its store is sealed, its tables.
+
+    ``seal()`` fills the tables (hot path; do not mutate them): ``files`` is
+    ``(file_t, subdir_t, fs_t, dev_t, top)``, each table None if the policy
+    has no such rule and ``top`` the number of components in its deepest
+    subdir or filesystem key (``/`` counting 0, and 0 if it has neither
+    kind); ``network`` is its category-mask triple; ``ipc`` and
+    ``capability`` map a peer policy id or a capability name to its triple.
+    """
+
     name: str
     default_allow: bool
     tainted_from_start: bool
     entry: str
+    files: tuple | None = None
+    network: tuple[int, int, int] | None = None
+    ipc: dict | None = None
+    capability: dict | None = None
 
 
-# Flag bits for ipc/capability map values.
-F_ALLOW = 1
-F_DENY = 2
-F_TAINT = 4
-
-# rule list -> its flag bit
-_LIST_FLAGS = {"allow": F_ALLOW, "deny": F_DENY, "taint": F_TAINT}
+# the categories keyed below the policy: policy_id -> key -> (allow, deny, taint)
+KEYED_CATEGORIES = ("file", "subdir", "filesystem", "device", "ipc", "capability")
 
 
 class CompiledPolicyStore:
     """Per-category decision maps with fixed capacities and a one-way seal.
 
-    Path-keyed categories map (policy_id, path) to an (allow, deny, taint)
-    access-mask triple; network maps policy_id to category-mask triples;
-    ipc and capability map to allow/deny/taint flag bits.  Mutation after
-    ``seal()`` raises StoreSealed — the read-only-after-load analog.
+    Every keyed category maps policy_id -> key -> an (allow, deny, taint)
+    triple: access masks for a path or device, 1/0 for an ipc peer or a
+    capability.  Network maps policy_id to one category-mask triple.
+    Mutation after ``seal()`` raises StoreSealed — the read-only-after-load
+    analog.
     """
 
     def __init__(self, capacities: MapCapacities | None = None):
         self.capacities = capacities or MapCapacities()
         self._sealed = False
-        # category -> policy_id -> key -> (allow, deny, taint)
-        self._path_maps: dict[str, dict[int, dict[str, tuple[int, int, int]]]] = {
-            "file": {}, "subdir": {}, "filesystem": {}, "device": {},
+        self._maps: dict[str, dict[int, dict[object, tuple[int, int, int]]]] = {
+            category: {} for category in KEYED_CATEGORIES
         }
-        # policy_id -> components of its deepest subdir or filesystem key
-        self._tops: dict[int, int] = {}
         self._network: dict[int, tuple[int, int, int]] = {}
-        self._ipc: dict[tuple[int, int], int] = {}
-        self._capability: dict[tuple[int, str], int] = {}
+        # one object per distinct keyed triple: policies repeat a few many times
+        self._triples: dict[tuple[int, int, int], tuple[int, int, int]] = {}
         self._meta: dict[int, PolicyMeta] = {}
         self._ids_by_name: dict[str, int] = {}
         self._counts = {name: 0 for name in MAP_CATEGORIES}
@@ -132,18 +139,15 @@ class CompiledPolicyStore:
         self._meta[pid] = meta
         self._ids_by_name[meta.name] = pid
 
-    def merge_path_rule(self, category: str, pid: int, key, allow=0, deny=0, taint=0):
+    def merge_rule(self, category: str, pid: int, key, allow=0, deny=0, taint=0):
         """Union the given masks into the (policy, key) entry, creating it if new."""
         self._check_mutable()
-        per_policy = self._path_maps[category].setdefault(pid, {})
+        per_policy = self._maps[category].setdefault(pid, {})
         old = per_policy.get(key)
         self._charge(category, old is None)
         a, d, t = old or (0, 0, 0)
-        per_policy[key] = (a | int(allow), d | int(deny), t | int(taint))
-        if category == "subdir" or category == "filesystem":
-            depth = key.count("/") if key != "/" else 0
-            if depth > self._tops.get(pid, 0):
-                self._tops[pid] = depth
+        entry = (a | int(allow), d | int(deny), t | int(taint))
+        per_policy[key] = self._triples.setdefault(entry, entry)
 
     def merge_network_rule(self, pid: int, allow=0, deny=0, taint=0):
         self._check_mutable()
@@ -152,23 +156,22 @@ class CompiledPolicyStore:
         a, d, t = old or (0, 0, 0)
         self._network[pid] = (a | int(allow), d | int(deny), t | int(taint))
 
-    def merge_ipc_rule(self, pid: int, peer_pid: int, flags: int):
-        self._check_mutable()
-        key = (pid, peer_pid)
-        old = self._ipc.get(key)
-        self._charge("ipc", old is None)
-        self._ipc[key] = (old or 0) | flags
-
-    def merge_capability_rule(self, pid: int, capability: str, flags: int):
-        self._check_mutable()
-        key = (pid, capability)
-        old = self._capability.get(key)
-        self._charge("capability", old is None)
-        self._capability[key] = (old or 0) | flags
-
     def seal(self) -> "CompiledPolicyStore":
-        """Freeze the store; idempotent, and lookups remain available."""
+        """Freeze the store and give each policy's meta its tables; idempotent,
+        and lookups remain available."""
         self._sealed = True
+        maps = self._maps
+        for pid, meta in self._meta.items():
+            subdir_t, fs_t = maps["subdir"].get(pid), maps["filesystem"].get(pid)
+            top = max((key.count("/") if key != "/" else 0
+                       for table in (subdir_t, fs_t) if table for key in table), default=0)
+            self._meta[pid] = replace(
+                meta,
+                files=(maps["file"].get(pid), subdir_t, fs_t, maps["device"].get(pid), top),
+                network=self._network.get(pid, (0, 0, 0)),
+                ipc=maps["ipc"].get(pid, {}),
+                capability=maps["capability"].get(pid, {}),
+            )
         return self
 
     # -- queries ---------------------------------------------------------------
@@ -189,44 +192,20 @@ class CompiledPolicyStore:
     def policy_names(self) -> list[str]:
         return sorted(self._ids_by_name)
 
-    def path_entry(self, category: str, pid: int, key) -> tuple[int, int, int] | None:
-        per_policy = self._path_maps[category].get(pid)
+    def entry(self, category: str, pid: int, key) -> tuple[int, int, int] | None:
+        per_policy = self._maps[category].get(pid)
         return per_policy.get(key) if per_policy else None
-
-    def network_entry(self, pid: int) -> tuple[int, int, int]:
-        return self._network.get(pid, (0, 0, 0))
-
-    def ipc_entry(self, pid: int, peer_pid: int) -> int:
-        return self._ipc.get((pid, peer_pid), 0)
-
-    def capability_entry(self, pid: int, capability: str) -> int:
-        return self._capability.get((pid, capability), 0)
 
     # Read-only views (the mutation API above is the only sanctioned writer).
     @property
     def device_rules(self):
         return MappingProxyType({
-            pid: MappingProxyType(entries) for pid, entries in self._path_maps["device"].items()
+            pid: MappingProxyType(entries) for pid, entries in self._maps["device"].items()
         })
 
     @property
     def network_rules(self):
         return MappingProxyType(self._network)
-
-    # Internal tables handed to the decision kernels (hot path; do not mutate).
-    def kernel_tables(self, pid: int):
-        """The policy's file, subdir, filesystem and device tables (each None
-        if it has no such rule), then ``top``: the number of components in
-        its deepest subdir or filesystem key, ``/`` counting 0, and 0 if it
-        has neither kind.  The file kernel walks no ancestor deeper than
-        ``top``."""
-        return (
-            self._path_maps["file"].get(pid),
-            self._path_maps["subdir"].get(pid),
-            self._path_maps["filesystem"].get(pid),
-            self._path_maps["device"].get(pid),
-            self._tops.get(pid, 0),
-        )
 
 
 def compile_policies(
@@ -251,27 +230,25 @@ def compile_policies(
         ))
         for which, rules in (("allow", doc.allow), ("deny", doc.deny), ("taint", doc.taint)):
             for rule in rules:
+                if isinstance(rule, NetworkRule):
+                    store.merge_network_rule(pid, **{which: int(rule.categories)})
+                    continue
                 if isinstance(rule, FileRule):
-                    store.merge_path_rule("file", pid, rule.path, **{which: int(rule.access)})
+                    category, key, mask = "file", rule.path, rule.access
                 elif isinstance(rule, SubdirRule):
-                    store.merge_path_rule("subdir", pid, rule.path, **{which: int(rule.access)})
+                    category, key, mask = "subdir", rule.path, rule.access
                 elif isinstance(rule, FilesystemRule):
-                    store.merge_path_rule(
-                        "filesystem", pid, rule.mountpoint, **{which: int(rule.access)})
+                    category, key, mask = "filesystem", rule.mountpoint, rule.access
                 elif isinstance(rule, DeviceRule):
-                    store.merge_path_rule(
-                        "device", pid, int(rule.kind), **{which: int(rule.access)})
+                    category, key, mask = "device", int(rule.kind), rule.access
                 elif isinstance(rule, TtyRule):
                     # tty rules are sugar for the tty device class
-                    store.merge_path_rule(
-                        "device", pid, int(DeviceKind.TTY), **{which: int(rule.access)})
-                elif isinstance(rule, NetworkRule):
-                    store.merge_network_rule(pid, **{which: int(rule.categories)})
+                    category, key, mask = "device", int(DeviceKind.TTY), rule.access
                 elif isinstance(rule, IpcRule):
-                    peer = policy_id(rule.other_policy_name)
-                    store.merge_ipc_rule(pid, peer, _LIST_FLAGS[which])
+                    category, key, mask = "ipc", policy_id(rule.other_policy_name), 1
                 elif isinstance(rule, CapabilityRule):
-                    store.merge_capability_rule(pid, rule.capability_name, _LIST_FLAGS[which])
+                    category, key, mask = "capability", rule.capability_name, 1
                 else:  # pragma: no cover - parser produces only the kinds above
                     raise TypeError(f"unhandled rule type: {rule!r}")
+                store.merge_rule(category, pid, key, **{which: int(mask)})
     return store.seal()

@@ -1,7 +1,7 @@
 """The decision kernel: the file-access and socket-op hot paths.
 
 The engine computes the kernel arguments from an event, its container and
-the sealed store's per-policy tables; the kernels return plain tuples::
+the tables its policy's sealed meta holds; the kernels return plain tuples::
 
     (verdict, reason, detail, taint_detail)
 
@@ -14,8 +14,8 @@ stages and reason text.
 
 from __future__ import annotations
 
-from .events import FsKind, SocketFamily, SocketOpKind
-from .policy import NET_ALL, AccessFlags, DeviceKind, NetCategory
+from .events import SocketFamily, SocketOpKind
+from .policy import NET_ALL, DeviceKind, NetCategory
 
 # verdicts
 V_ALLOW = 0
@@ -45,9 +45,8 @@ R_BPFFS = 8
 R_NET_FAMILY = 9
 R_UNIX_IPC = 10
 
-# Kernel constants, taken from the enums the engine passes in as ints.
-_BPFFS = int(FsKind.BPFFS)
-_WRITE_OR_APPEND = int(AccessFlags.WRITE | AccessFlags.APPEND)
+# Kernel constants, taken from the enums; the engine passes ``family`` and
+# ``op`` as their IntEnum members, which compare and index as ints.
 _DEV_TTY, _DEV_RANDOM, _DEV_NULL, _DEV_ZERO = (
     int(DeviceKind.TTY), int(DeviceKind.RANDOM), int(DeviceKind.NULL), int(DeviceKind.ZERO))
 _FAM_UNIX, _FAM_OTHER = int(SocketFamily.UNIX), int(SocketFamily.OTHER)
@@ -84,24 +83,21 @@ def classify_device(path):
     return -1
 
 
-def decide_file_access(file_t, subdir_t, fs_t, dev_t, top,
-                       default_allow, tainted,
-                       path, requested, fs_kind, implicit):
+def decide_file_access(files, default_allow, tainted, implicit, path, requested):
     """Stages 3-8 of the pipeline for one file access.
 
-    ``file_t``..``dev_t`` are this policy's per-category tables (or None).
-    ``top`` is the number of components in the policy's deepest subdir or
-    filesystem key (``/`` has none): a key names a path, so an ancestor with
-    more components than ``top`` cannot match either table, and the walk up
-    from the path looks up only the ancestors with at most ``top``.
-    ``implicit`` is the implicit filesystem policy the engine derived from
-    the container: 0 for none, else the reason it leads to (``R_PROC_SELF``
-    for an own procfs/sysfs entry, ``R_PROC_FOREIGN`` for a foreign one,
-    ``R_OVERLAY`` for an overlay the container owns).
+    ``files`` is the policy meta's ``(file_t, subdir_t, fs_t, dev_t, top)``:
+    its per-category tables (or None), then the number of components in its
+    deepest subdir or filesystem key (``/`` has none).  A key names a path,
+    so an ancestor with more components than ``top`` cannot match either
+    table, and the walk up from the path looks up only the ancestors with
+    at most ``top``.  ``implicit`` is the implicit filesystem policy the
+    engine derived from the event and the container: 0 for none, else the
+    reason it leads to (``R_PROC_SELF`` for an own procfs/sysfs entry,
+    ``R_PROC_FOREIGN`` for a foreign one, ``R_OVERLAY`` for an overlay the
+    container owns).
     """
-    # pinned-object protection: mutating bpffs is hardening, not policy
-    if fs_kind == _BPFFS and requested & _WRITE_OR_APPEND:
-        return (V_DENY, R_BPFFS, None, None)
+    file_t, subdir_t, fs_t, dev_t, top = files
 
     # every matching entry as (tier, key, entry), most specific first: the
     # file, its subdirs nearest first, the containing filesystem (the longest
@@ -193,9 +189,9 @@ def decide_file_access(file_t, subdir_t, fs_t, dev_t, top,
     return (V_DENY, R_DEFAULT, None, taint_detail)
 
 
-def decide_socket_op(allow_cats, deny_cats, taint_cats,
-                     default_allow, tainted, family, op):
-    """Socket-operation decision over the policy's network category masks."""
+def decide_socket_op(network, default_allow, tainted, family, op):
+    """Socket-operation decision over the policy's network category masks,
+    ``network`` being its ``(allow, deny, taint)`` triple."""
     if family == _FAM_UNIX:
         # unix domain sockets are ipc; a container may always talk to itself,
         # cross-container flows arrive as IpcOp events
@@ -205,6 +201,7 @@ def decide_socket_op(allow_cats, deny_cats, taint_cats,
             return (V_ALLOW, R_EXEMPT, None, None)
         return (V_DENY, R_NET_FAMILY, None, None)
 
+    allow_cats, deny_cats, taint_cats = network
     opcats = _OP_CATS[op]
     taint_detail = None
     if not tainted:

@@ -37,7 +37,7 @@ from .core import (
     V_KILL,
     V_UNCONFINED,
 )
-from .compiler import MAP_CATEGORIES, CompiledPolicyStore, F_ALLOW, F_DENY, F_TAINT
+from .compiler import MAP_CATEGORIES, CompiledPolicyStore, PolicyMeta
 from .errors import StoreNotSealed, UnknownPolicy
 from .events import (
     CapabilityUse,
@@ -51,12 +51,16 @@ from .events import (
     SwitchNamespaces,
     HARDENING_SHORT,
 )
-from .policy import format_access, format_device, format_net
+from .policy import AccessFlags, format_access, format_device, format_net
 from .state import Container, ContainerState
 
 
 # the file-system kinds decide() tests for each FileAccess, loaded once
-_PROCFS, _SYSFS, _OVERLAYFS = FsKind.PROCFS, FsKind.SYSFS, FsKind.OVERLAYFS
+_PROCFS, _SYSFS, _OVERLAYFS, _BPFFS = (
+    FsKind.PROCFS, FsKind.SYSFS, FsKind.OVERLAYFS, FsKind.BPFFS)
+_WRITE_OR_APPEND = int(AccessFlags.WRITE | AccessFlags.APPEND)
+# the (allow, deny, taint) triple of an ipc peer or capability no rule names
+_NO_RULE = (0, 0, 0)
 
 
 class Verdict(Enum):
@@ -206,12 +210,11 @@ class Decision(NamedTuple):
 
 def _finish(verdict: int, code: int, detail, container: Container, policy: str,
             state: ContainerState, taint_detail) -> Decision:
-    """Commit a pending taint transition and return the decision."""
+    """Commit a pending taint transition and return the decision.
+
+    Only an untainted container's decision names a taint rule."""
     if taint_detail is not None:
-        if container.tainted:
-            taint_detail = None
-        else:
-            state.taint(container.container_id)
+        state.taint(container.container_id)
     return Decision(verdict, code, detail, container.container_id, policy, taint_detail)
 
 
@@ -226,12 +229,14 @@ def decide(event: HookEvent, state: ContainerState,
         return Decision(V_UNCONFINED, R_UNCONFINED)
     meta = store.meta(container.policy_id)
     if meta is None:
-        raise UnknownPolicy(f"policy id {container.policy_id:#x}")
+        raise UnknownPolicy(policy_id=container.policy_id)
 
     # hot kinds first; the hardening family below is enforced regardless of
     # taint state or default mode
     if isinstance(event, FileAccess):
         fs_kind = event.fs_kind
+        # int(): AccessFlags' ``&`` is Python-level, an int's is not
+        requested = int(event.requested)
         implicit = 0
         if fs_kind == _PROCFS or fs_kind == _SYSFS:
             implicit = (R_PROC_SELF if event.proc_subject_pid in container.pid_set
@@ -239,30 +244,27 @@ def decide(event: HookEvent, state: ContainerState,
         elif (fs_kind == _OVERLAYFS and event.owner_mount_ns is not None
               and event.owner_mount_ns == container.mount_ns):
             implicit = R_OVERLAY
-        file_t, subdir_t, fs_t, dev_t, top = store.kernel_tables(container.policy_id)
+        elif fs_kind == _BPFFS and requested & _WRITE_OR_APPEND:
+            # pinned-object protection: mutating bpffs is hardening, not policy
+            return Decision(V_DENY, R_BPFFS, None, container.container_id, meta.name)
         verdict, code, detail, taint_detail = core.decide_file_access(
-            file_t, subdir_t, fs_t, dev_t, top,
-            meta.default_allow, container.tainted,
-            event.path, int(event.requested), int(fs_kind), implicit,
+            meta.files, meta.default_allow, container.tainted, implicit,
+            event.path, requested,
         )
         if code == R_PROC_SELF or code == R_PROC_FOREIGN:
             detail = "procfs" if fs_kind == _PROCFS else "sysfs"
         return _finish(verdict, code, detail, container, meta.name, state, taint_detail)
 
     if isinstance(event, SocketOp):
-        allow_cats, deny_cats, taint_cats = store.network_entry(container.policy_id)
         verdict, code, detail, taint_detail = core.decide_socket_op(
-            allow_cats, deny_cats, taint_cats,
-            meta.default_allow, container.tainted,
-            int(event.family), int(event.op),
-        )
+            meta.network, meta.default_allow, container.tainted, event.family, event.op)
         return _finish(verdict, code, detail, container, meta.name, state, taint_detail)
 
     if isinstance(event, IpcOp):
-        return _decide_ipc(event, container, meta.name, state, store)
+        return _decide_ipc(event, container, meta, state, store)
 
     if isinstance(event, CapabilityUse):
-        return _decide_capability(event, container, meta.name, state, store)
+        return _decide_capability(event, container, meta, state)
 
     cid = container.container_id
     if isinstance(event, CommitCreds):
@@ -281,9 +283,10 @@ def decide(event: HookEvent, state: ContainerState,
     raise TypeError(f"decide() cannot judge event {event!r}")
 
 
-def _decide_ipc(event: IpcOp, container: Container, my_name: str,
+def _decide_ipc(event: IpcOp, container: Container, meta: PolicyMeta,
                 state: ContainerState, store: CompiledPolicyStore) -> Decision:
     cid = container.container_id
+    my_name = meta.name
     peer = state.lookup(event.peer_pid)
     if peer is None:
         if container.tainted:
@@ -292,17 +295,18 @@ def _decide_ipc(event: IpcOp, container: Container, my_name: str,
     if peer.container_id == cid:
         return Decision(V_ALLOW, R_IPC_SAME, None, cid, my_name)
 
-    mine = store.ipc_entry(container.policy_id, peer.policy_id)
-    if not container.tainted and not mine & F_TAINT:
+    allow, deny, taint = meta.ipc.get(peer.policy_id, _NO_RULE)
+    if not container.tainted and not taint:
         return Decision(V_ALLOW, R_EXEMPT, None, cid, my_name)
-    peer_name = store.meta(peer.policy_id).name
+    peer_meta = store.meta(peer.policy_id)
+    peer_name = peer_meta.name
     taint_detail = None if container.tainted else (T_IPC, peer_name, 0)
-    theirs = store.ipc_entry(peer.policy_id, container.policy_id)
-    if mine & F_DENY or theirs & F_DENY:
+    peer_allow, peer_deny, _ = peer_meta.ipc.get(container.policy_id, _NO_RULE)
+    if deny or peer_deny:
         code = R_IPC_DENY_RULE
-    elif not mine & F_ALLOW:
+    elif not allow:
         code = R_IPC_NO_RULE
-    elif not theirs & F_ALLOW:
+    elif not peer_allow:
         code = R_IPC_ONE_SIDED
     elif container.ipc_ns != peer.ipc_ns:
         code = R_IPC_NS_MISMATCH
@@ -312,21 +316,22 @@ def _decide_ipc(event: IpcOp, container: Container, my_name: str,
     return _finish(V_DENY, code, peer_name, container, my_name, state, taint_detail)
 
 
-def _decide_capability(event: CapabilityUse, container: Container, my_name: str,
-                       state: ContainerState, store: CompiledPolicyStore) -> Decision:
+def _decide_capability(event: CapabilityUse, container: Container, meta: PolicyMeta,
+                       state: ContainerState) -> Decision:
     cap = event.capability
-    flags = store.capability_entry(container.policy_id, cap)
+    my_name = meta.name
+    allow, deny, taint = meta.capability.get(cap, _NO_RULE)
 
     taint_detail = None
     if not container.tainted:
-        if flags & F_TAINT:
+        if taint:
             taint_detail = (T_CAP, cap, 0)
         else:
             return Decision(V_ALLOW, R_EXEMPT, None, container.container_id, my_name)
 
-    if flags & F_DENY:
+    if deny:
         code = R_CAP_DENY_RULE
-    elif not flags & F_ALLOW:
+    elif not allow:
         code = R_CAP_NO_RULE
     elif event.possessed:
         return _finish(V_ALLOW, R_CAP_ALLOW_RULE, cap, container, my_name, state, taint_detail)

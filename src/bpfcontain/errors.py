@@ -104,9 +104,13 @@ class AlreadyConfined(StateError):
 
 
 class UnknownPolicy(StateError):
-    def __init__(self, name: str):
-        super().__init__(f"no loaded policy named {name!r}")
+    """No loaded policy has this name, or (from a decision) this policy id."""
+
+    def __init__(self, name: str | None = None, *, policy_id: int | None = None):
+        what = f"named {name!r}" if policy_id is None else f"with id {policy_id:#x}"
+        super().__init__(f"no loaded policy {what}")
         self.name = name
+        self.policy_id = policy_id
 
 
 class ContainerTableFull(StateError):

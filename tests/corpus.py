@@ -245,18 +245,18 @@ def random_event(rng: random.Random):
 
 # --- the steady_mix workload (criterion 8 and perfbench) -------------------
 
-def _load_workloads():
-    """``perfbench/workloads.py``, the one generator of the benchmark's
-    workloads, loaded read-only: ``perfbench`` is not a package."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def load_perfbench(name: str):
+    """``perfbench/<name>.py`` loaded read-only: ``perfbench`` is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+# the one generator of the benchmark's workloads
+workloads = load_perfbench("workloads")
 # perfbench/test_perfbench.py imports this name
 WORKLOAD_POLICIES = workloads.STEADY_POLICIES
 

@@ -353,11 +353,11 @@ def test_criterion_7_tamper_resistance():
     store = compile_policies([parse_policy(MINIMAL_POLICY)])
     for attempt in (
         lambda: store.put_meta(9, PolicyMeta("x", False, True, "/x")),
-        lambda: store.merge_path_rule("file", 9, "/x", allow=1),
-        lambda: store.merge_path_rule("device", 9, int(DeviceKind.TTY), deny=1),
+        lambda: store.merge_rule("file", 9, "/x", allow=1),
+        lambda: store.merge_rule("device", 9, int(DeviceKind.TTY), deny=1),
         lambda: store.merge_network_rule(9, allow=1),
-        lambda: store.merge_ipc_rule(9, 10, 1),
-        lambda: store.merge_capability_rule(9, "CAP_KILL", 1),
+        lambda: store.merge_rule("ipc", 9, 10, allow=1),
+        lambda: store.merge_rule("capability", 9, "CAP_KILL", allow=1),
     ):
         with pytest.raises(StoreSealed):
             attempt()

@@ -2,9 +2,9 @@
 
 import pytest
 
-from bpfcontain.compiler import CompiledPolicyStore, compile_policies
+from bpfcontain.compiler import CompiledPolicyStore, compile_policies, policy_id
 from bpfcontain.engine import Verdict, decide
-from bpfcontain.errors import StoreNotSealed
+from bpfcontain.errors import StoreNotSealed, UnknownPolicy
 from bpfcontain.events import (
     CapabilityUse,
     CommitCreds,
@@ -166,6 +166,16 @@ def test_unsealed_store_is_refused():
     state = ContainerState(compile_policies([parse_policy(MINIMAL)]))
     with pytest.raises(StoreNotSealed):
         decide(FileAccess(1, "/x", parse_access("r")), state, store)
+
+
+def test_policy_missing_from_the_store_is_named_by_id():
+    _, state, _ = _one_container(MINIMAL)
+    other = compile_policies([parse_policy(TAINT)])
+    with pytest.raises(UnknownPolicy) as exc:
+        decide(FileAccess(100, "/x", parse_access("r")), state, other)
+    pid = policy_id("hello_minimal")
+    assert str(exc.value) == f"no loaded policy with id {pid:#x}"
+    assert exc.value.policy_id == pid and exc.value.name is None
 
 
 # --- implicit filesystem policy ------------------------------------------------

@@ -1,8 +1,9 @@
 """Property tests: the trace wire format, the parser's error contract, the
-canonical-path shortcut, the audit line renderer and the file kernel's rule
-provenance."""
+canonical-path shortcut, the audit line renderer, the file kernel's rule
+provenance and the rule that only an untainted container is tainted."""
 
 import io
+import itertools
 import json
 import posixpath
 
@@ -25,7 +26,7 @@ from bpfcontain.core import (
     V_DENY,
     classify_device,
 )
-from bpfcontain.engine import R_ALLOW_RULE, R_DEFAULT, R_STATE_ERROR
+from bpfcontain.engine import R_ALLOW_RULE, R_DEFAULT, R_STATE_ERROR, decide
 from bpfcontain.errors import TraceError
 from bpfcontain.events import (
     CapabilityUse,
@@ -44,6 +45,7 @@ from bpfcontain.events import (
 )
 from bpfcontain.policy import (
     CAPABILITIES,
+    NET_ALL,
     AccessFlags,
     DeviceKind,
     normalize_event_path,
@@ -60,6 +62,8 @@ from bpfcontain.trace import (
     parse_trace,
     write_trace,
 )
+
+import corpus
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -263,9 +267,9 @@ def file_kernel_inputs(draw):
     # the deepest subdir or filesystem key's components: its ancestors
     top = max((len(_lineage(key)) - 1 for table in (subdir_t, fs_t) if table
                for key in table), default=0)
-    return (file_t, subdir_t, fs_t, dev_t, top, draw(st.booleans()), draw(st.booleans()),
-            path, draw(masks), int(draw(st.sampled_from(FsKind))),
-            draw(st.sampled_from((0, R_PROC_SELF, R_PROC_FOREIGN, R_OVERLAY))))
+    return ((file_t, subdir_t, fs_t, dev_t, top), draw(st.booleans()), draw(st.booleans()),
+            draw(st.sampled_from((0, R_PROC_SELF, R_PROC_FOREIGN, R_OVERLAY))),
+            path, draw(masks))
 
 
 def _expected_hits(file_t, subdir_t, fs_t, dev_t, path):
@@ -288,7 +292,7 @@ def _expected_hits(file_t, subdir_t, fs_t, dev_t, path):
 
 
 def _check_provenance(args):
-    file_t, subdir_t, fs_t, dev_t, _, _, _, path, requested, _, implicit = args
+    (file_t, subdir_t, fs_t, dev_t, _), _, _, implicit, path, requested = args
     _, code, detail, taint_detail = core.decide_file_access(*args)
     # the whole lineage, not only the ancestors within the kernel's bound
     hits = _expected_hits(file_t, subdir_t, fs_t, dev_t, path)
@@ -327,3 +331,32 @@ def test_file_kernel_names_the_most_specific_rule(args):
 @given(file_kernel_inputs())
 def test_file_kernel_names_the_most_specific_rule_at_depth(args):
     _check_provenance(args)
+
+
+# --- a decision names a taint rule only for an untainted container -------------
+# (so the engine commits every taint_detail it is handed without re-checking)
+
+@settings(max_examples=300, deadline=None)
+@given(file_kernel_inputs())
+def test_the_file_kernel_names_no_taint_rule_for_a_tainted_container(args):
+    files, default_allow, _, implicit, path, requested = args
+    assert core.decide_file_access(files, default_allow, True, implicit, path,
+                                   requested)[3] is None
+
+
+def test_the_socket_kernel_names_no_taint_rule_for_a_tainted_container():
+    for network in itertools.product(range(int(NET_ALL) + 1), repeat=3):
+        for family, op, default_allow in itertools.product(
+                SocketFamily, SocketOpKind, (False, True)):
+            assert core.decide_socket_op(network, default_allow, True, family, op)[3] is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_ipc_and_capability_name_no_taint_rule_for_a_tainted_container(rng):
+    doc = corpus.random_policy(rng, force_taint=True)
+    store, state, container, _, _ = corpus.build_world(doc)
+    state.taint(container.container_id)
+    for event in corpus.EVENTS:
+        if isinstance(event, (IpcOp, CapabilityUse)):
+            assert decide(event, state, store).taint_detail is None

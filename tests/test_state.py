@@ -33,7 +33,7 @@ def test_reconfinement_is_denied(example_state):
 
 
 def test_confine_unknown_policy(example_state):
-    with pytest.raises(UnknownPolicy):
+    with pytest.raises(UnknownPolicy, match="^no loaded policy named 'nope'$"):
         example_state.confine(100, "nope")
 
 
