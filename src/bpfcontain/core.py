@@ -145,19 +145,21 @@ def decide_file_access(files, default_allow, tainted, implicit, path, requested)
             if entry is not None:
                 hits.append((T_DEV, dev, entry))
 
-    # the grant: the most specific hit with an allow mask; broader tiers
-    # cannot widen it, and a foreign procfs/sysfs entry is granted only by a
-    # file or subdir rule
+    # The grant is the most specific hit with an allow mask; broader tiers
+    # cannot widen it.  A foreign procfs/sysfs entry is granted only by a
+    # file or subdir rule, and that grant must cover the request before any
+    # other stage runs; otherwise the grant is found only at the allow stage.
     foreign = implicit == R_PROC_FOREIGN
     grant = None
-    granted = 0
-    for hit in hits:
-        if hit[2][0] and not (foreign and hit[0] > T_SUBDIR):
-            grant = hit
-            granted = hit[2][0]
-            break
-    if foreign and requested & ~granted:
-        return (V_DENY, R_PROC_FOREIGN, None, None)
+    if foreign:
+        for hit in hits:
+            if hit[0] > T_SUBDIR:
+                break
+            if hit[2][0]:
+                grant = hit
+                break
+        if requested & ~(grant[2][0] if grant is not None else 0):
+            return (V_DENY, R_PROC_FOREIGN, None, None)
 
     # taint triggers, then the untainted exemption
     taint_detail = None
@@ -178,8 +180,13 @@ def decide_file_access(files, default_allow, tainted, implicit, path, requested)
         return (V_ALLOW, implicit, None, taint_detail)
 
     # explicit allow: the grant must cover the whole request
-    if granted and not (requested & ~granted):
-        return (V_ALLOW, R_ALLOW_RULE, (grant[0], grant[1], granted), taint_detail)
+    if not foreign:
+        for hit in hits:
+            if hit[2][0]:
+                grant = hit
+                break
+    if grant is not None and not (requested & ~grant[2][0]):
+        return (V_ALLOW, R_ALLOW_RULE, (grant[0], grant[1], grant[2][0]), taint_detail)
     if foreign:
         # coverage was established above; reaching here means nothing
         # granted and nothing was requested

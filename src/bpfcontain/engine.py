@@ -208,6 +208,13 @@ class Decision(NamedTuple):
                            self.taint_detail)
 
 
+# the decision for every event from an unconfined pid
+_UNCONFINED = Decision(V_UNCONFINED, R_UNCONFINED)
+# ``tuple.__new__(Decision, values)`` builds a Decision in one C call, without
+# the Python ``__new__`` the NamedTuple class generates
+_new = tuple.__new__
+
+
 def _finish(verdict: int, code: int, detail, container: Container, policy: str,
             state: ContainerState, taint_detail) -> Decision:
     """Commit a pending taint transition and return the decision.
@@ -215,7 +222,7 @@ def _finish(verdict: int, code: int, detail, container: Container, policy: str,
     Only an untainted container's decision names a taint rule."""
     if taint_detail is not None:
         state.taint(container.container_id)
-    return Decision(verdict, code, detail, container.container_id, policy, taint_detail)
+    return _new(Decision, (verdict, code, detail, container.container_id, policy, taint_detail))
 
 
 def decide(event: HookEvent, state: ContainerState,
@@ -226,7 +233,7 @@ def decide(event: HookEvent, state: ContainerState,
 
     container = state.lookup(event.pid)
     if container is None:
-        return Decision(V_UNCONFINED, R_UNCONFINED)
+        return _UNCONFINED
     meta = store.meta(container.policy_id)
     if meta is None:
         raise UnknownPolicy(policy_id=container.policy_id)

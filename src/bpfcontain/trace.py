@@ -105,6 +105,11 @@ class TraceEvent(NamedTuple):
     event: HookEvent | LifecycleEvent
 
 
+# ``tuple.__new__(NT, values)`` builds a NamedTuple in one C call, without
+# the Python ``__new__`` its class generates; the hot paths build with it
+_new = tuple.__new__
+
+
 # --- audit trail ---------------------------------------------------------------
 
 # Audit outcome codes: the engine's verdict codes, then the lifecycle outcomes.
@@ -190,11 +195,16 @@ class AuditLog:
     def kills(self) -> int:
         return self.outcomes[V_KILL]
 
+    def __post_init__(self):
+        # records kept so far, counted here so that a record costs no len()
+        self._kept = len(self.records)
+
     def append(self, record: AuditRecord):
         self.outcomes[record.outcome] += 1
         if record.taint_detail is not None:
             self.taints += 1
-        if len(self.records) < self.capacity:
+        if self._kept < self.capacity:
+            self._kept += 1
             self.records.append(record)
         else:
             self.dropped += 1
@@ -282,9 +292,12 @@ def _int(value, what: str, seq, top: int = _U32_MAX) -> int:
 
 
 def _int_field(obj: dict, key: str, seq) -> int:
+    value = obj.get(key)
+    if type(value) is int and 0 <= value <= _U32_MAX:
+        return value
     if key not in obj:
         raise MalformedEvent(seq, f"missing field {key!r}")
-    return _int(obj[key], key, seq)
+    return _int(value, key, seq)
 
 
 def _enum_field(obj: dict, key: str, table: dict, seq):
@@ -311,12 +324,17 @@ def _priv_level(obj, key: str, seq) -> PrivLevel:
 
 def _parse_file_access(obj: dict, seq: int) -> FileAccess:
     pid = _int_field(obj, "pid", seq)
-    path = _need(obj, "path", str, seq)
+    # a decoded string passes the inline test; _need only raises
+    path = obj.get("path")
+    if type(path) is not str:
+        path = _need(obj, "path", str, seq)
     try:
         path = normalize_event_path(path)
     except ValueError as exc:
         raise MalformedEvent(seq, str(exc)) from exc
-    requested = _need(obj, "requested", str, seq)
+    requested = obj.get("requested")
+    if type(requested) is not str:
+        requested = _need(obj, "requested", str, seq)
     try:
         requested = parse_access(requested)
     except BadAccessFlags as exc:
@@ -443,41 +461,38 @@ def parse_trace_object(obj: dict, seq=None) -> TraceEvent:
     parser, fields = entry
     if not obj.keys() <= fields:
         raise MalformedEvent(seq, f"unknown fields for {kind}: {sorted(obj.keys() - fields)}")
-    return TraceEvent(seq, parser(obj, seq))
+    return _new(TraceEvent, (seq, parser(obj, seq)))
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _loads(line: str):
-    """``json.loads`` of a stripped line, minus its wrapper's whitespace scans.
-
-    Whatever the fast decode does not consume whole goes through
-    ``json.loads``, which raises its own error for the line.
-    """
-    try:
-        obj, end = _raw_decode(line)
-    except json.JSONDecodeError:
-        end = -1
-    if end != len(line):
-        return json.loads(line)
-    return obj
+# the decoder's scanner (C where available): one JSON value at an index,
+# without ``json.loads``'s wrapper calls and whitespace scans
+_scan_once = json.JSONDecoder().scan_once
+# what JSON counts as whitespace; other padding makes a line invalid JSON
+_JSON_SPACE = " \t\r\n"
 
 
 def iter_trace(lines: Iterable[str]) -> Iterator[TraceEvent]:
     """Parse a JSONL trace lazily: header line first, then seq-ordered events.
 
     Each event is yielded before the next line is read, so an error in a
-    later line is raised only when the iteration reaches it.
+    later line is raised only when the iteration reaches it.  A line of
+    JSON whitespace alone is skipped.
     """
     last_seq = None
     saw_header = False
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
+        line = line.strip(_JSON_SPACE)
         if not line:
             continue
         try:
-            obj = _loads(line)
+            try:
+                obj, end = _scan_once(line, 0)
+            except (StopIteration, ValueError):  # no value at 0, or a bad one
+                end = -1
+            if end != len(line):
+                # whatever the scan does not consume whole goes through
+                # ``json.loads``, which raises its own error for the line
+                obj = json.loads(line)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise MalformedEvent(last_seq, f"line {lineno}: invalid JSON: {exc}") from exc
         if not saw_header:
@@ -587,7 +602,7 @@ def replay(events: Iterable[TraceEvent], store: CompiledPolicyStore,
                 append(AuditRecord(seq, ev, V_UNCONFINED, R_KILLED_EVENT))
                 continue
             decision = decide(ev, state, store)
-            append(AuditRecord(seq, ev, *decision))
+            append(_new(AuditRecord, (seq, ev) + decision))
             if decision.verdict_code == V_KILL:
                 killed.add(ev.pid)
                 state.on_exit(ev.pid)

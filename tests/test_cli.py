@@ -212,6 +212,18 @@ def test_run_undecodable_json_exits_3(policy_dir, tmp_path, capsys, lines):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    '\xa0{"seq": 1, "kind": "exit", "pid": 7}',
+    '{"seq": 1, "kind": "exit", "pid": 7}\u3000',
+    "\x0c",
+], ids=["nbsp-before", "ideographic-space-after", "form-feed-alone"])
+def test_run_line_padded_with_non_json_whitespace_exits_3(policy_dir, tmp_path, capsys, line):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"format": 1}\n' + line + "\n", encoding="utf-8")
+    assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 3
+    assert "line 2: invalid JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("event", _UNDECODABLE_EVENTS, ids=["deep", "long-int"])
 def test_explain_undecodable_json_exits_3(policy_dir, capsys, event):
     assert run_cli("--policy-dir", str(policy_dir), "explain",

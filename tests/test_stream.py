@@ -15,7 +15,9 @@ import pytest
 
 import bpfcontain
 from bpfcontain.cli import main
+from bpfcontain.compiler import compile_policies
 from bpfcontain.errors import MalformedEvent
+from bpfcontain.policy import parse_policy
 from bpfcontain.trace import AuditWriter, Exit, TraceEvent, iter_trace, replay
 
 from corpus import synthetic_workload, workloads
@@ -55,6 +57,31 @@ def test_iter_trace_raises_a_later_error_only_when_it_gets_there():
     assert next(events) == TraceEvent(1, Exit(7))
     with pytest.raises(MalformedEvent, match="line 3: invalid JSON"):
         next(events)
+
+
+# The most Python-level calls one replayed event may cost, parse through
+# audit line: each call the per-event path makes adds to every event.
+CALLS_PER_EVENT = 21
+
+
+def test_replay_stays_within_the_per_event_call_budget():
+    workload = workloads.steady_mix(5, 3000)
+    store = compile_policies([parse_policy(text) for _, text in workload.policies])
+    lines = list(workload.trace_lines())
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        _, log = replay(iter_trace(lines), store, records=AuditWriter(io.StringIO().write))
+    finally:
+        sys.setprofile(None)
+    assert log.events == 3000
+    assert calls / log.events <= CALLS_PER_EVENT
 
 
 # --- the records sink ------------------------------------------------------------

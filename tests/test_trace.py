@@ -5,6 +5,7 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bpfcontain.errors import MalformedEvent, OutOfOrderTrace, TraceError
 from bpfcontain.events import (
@@ -29,7 +30,9 @@ from bpfcontain.trace import (
     Fork,
     TraceEvent,
     event_to_object,
+    iter_trace,
     parse_trace,
+    parse_trace_object,
     replay,
     write_trace,
 )
@@ -410,3 +413,80 @@ def test_event_equality_is_per_type():
         for j, b in enumerate(EVENT_EXAMPLES):
             assert (a == b) == (i == j)
         assert a == dataclasses.replace(a)
+
+
+# --- decoding a line --------------------------------------------------------------
+
+# what JSON counts as whitespace, and characters ``str.strip`` also removes
+_JSON_SPACE = " \t\r\n"
+_OTHER_SPACE = "\xa0\u2003\u3000\x0b\x0c\x1c\x85\u2028"
+_EVENT_OBJECTS = (
+    {"seq": 1, "kind": "exit", "pid": 7},
+    {"seq": 2, "kind": "FileAccess", "pid": 1, "path": "/etc/passwd", "requested": "r"},
+    {"seq": 3, "kind": "SocketOp", "pid": 1, "family": "Ipv4", "op": "Connect"},
+)
+_EVENT_LINES = [json.dumps(obj) for obj in _EVENT_OBJECTS]
+
+
+def _outcome(lines):
+    """What ``iter_trace`` makes of a trace: its events, or its error message."""
+    try:
+        return list(iter_trace(lines))
+    except TraceError as exc:
+        return str(exc)
+
+
+@st.composite
+def _decoder_lines(draw):
+    """An event line, maybe padded, followed by more data or with a value replaced."""
+    line = draw(st.sampled_from(_EVENT_LINES))
+    change = draw(st.sampled_from(["none", "tail", "value"]))
+    if change == "tail":
+        line += draw(st.sampled_from(["x", "}", " 1", " " + _EVENT_LINES[0], _EVENT_LINES[0]]))
+    elif change == "value":
+        line = line.replace("7", draw(st.sampled_from(
+            ["NaN", "Infinity", "-Infinity", '"\\ud800"', "1e400", "07", "[" * 10 + "]" * 10])))
+    space = st.text(alphabet=_JSON_SPACE + _OTHER_SPACE, max_size=3)
+    return draw(space) + line + draw(space)
+
+
+_DEEP = '{"seq": 1, "kind": "exit", "pid": %s}' % ("[" * 100_000 + "]" * 100_000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=_decoder_lines() | st.text(max_size=40))
+@example(line=_EVENT_LINES[0] + " " + _EVENT_LINES[1])
+@example(line='{"seq": NaN, "kind": "exit", "pid": 7}')
+@example(line='{"seq": 1, "kind": "exit", "pid": Infinity}')
+@example(line='{"seq": 2, "kind": "FileAccess", "pid": 1, "path": "/a\\udc00", "requested": "r"}')
+@example(line=_DEEP)
+@example(line="\xa0" + _EVENT_LINES[0])
+@example(line=_EVENT_LINES[0] + "\x0c")
+@example(line="\u3000")
+@example(line=" \t\r\n")
+def test_iter_trace_decodes_a_line_exactly_as_json_loads_does(line):
+    got = _outcome(['{"format": 1}', line])
+    if set(line) <= set(_JSON_SPACE):
+        assert got == []  # a blank line is skipped
+        return
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError):
+        assert isinstance(got, str) and "line 2: invalid JSON: " in got
+        return
+    try:
+        want = [parse_trace_object(obj)]
+    except TraceError as exc:
+        want = str(exc)
+    assert got == want
+
+
+@pytest.mark.parametrize("pad", ["\xa0", "\u2003", "\u3000", "\x0c", "\x1c"])
+def test_only_json_whitespace_pads_a_trace_line(pad):
+    for lines in ([pad + _EVENT_LINES[0]], [_EVENT_LINES[0] + pad], [pad]):
+        with pytest.raises(MalformedEvent, match="line 2: invalid JSON"):
+            parse_trace(['{"format": 1}'] + lines)
+    with pytest.raises(MalformedEvent, match="line 1: invalid JSON"):
+        parse_trace([pad + '{"format": 1}'])
+    padded = [" \t" + _EVENT_LINES[0] + " \r\n", " \t\r\n", "\n"]
+    assert parse_trace(['{"format": 1}\n'] + padded) == [TraceEvent(1, Exit(7))]
