@@ -71,7 +71,9 @@ _OP_CATS = tuple(int({
 
 
 def classify_device(path):
-    """Map a /dev path onto a device-rule kind, or -1 if it is none of them."""
+    """Map a /dev path onto a device-rule kind, or -1 if it is none of them.
+
+    Only a path under ``/dev/`` maps to a kind, so a caller may skip others."""
     if path == "/dev/null":
         return _DEV_NULL
     if path == "/dev/zero":
@@ -138,7 +140,7 @@ def decide_file_access(files, default_allow, tainted, implicit, path, requested)
             fs_hit = (T_FS, path, entry)
     if fs_hit is not None:
         hits.append(fs_hit)
-    if dev_t is not None:
+    if dev_t is not None and path.startswith("/dev/"):
         dev = classify_device(path)
         if dev >= 0:
             entry = dev_t.get(dev)

@@ -228,22 +228,23 @@ def _finish(verdict: int, code: int, detail, container: Container, policy: str,
 def decide(event: HookEvent, state: ContainerState,
            store: CompiledPolicyStore) -> Decision:
     """Decide one mediated event against current state and the sealed store."""
-    if not store.sealed:
-        raise StoreNotSealed("decisions require a sealed store")
-
     container = state.lookup(event.pid)
     if container is None:
+        if not store.sealed:
+            raise StoreNotSealed("decisions require a sealed store")
         return _UNCONFINED
     meta = store.meta(container.policy_id)
-    if meta is None:
+    # seal() gives every meta its tables: a meta without them is unsealed
+    if meta is None or meta.files is None:
+        if meta is not None or not store.sealed:
+            raise StoreNotSealed("decisions require a sealed store")
         raise UnknownPolicy(policy_id=container.policy_id)
 
     # hot kinds first; the hardening family below is enforced regardless of
     # taint state or default mode
     if isinstance(event, FileAccess):
         fs_kind = event.fs_kind
-        # int(): AccessFlags' ``&`` is Python-level, an int's is not
-        requested = int(event.requested)
+        requested = event.requested
         implicit = 0
         if fs_kind == _PROCFS or fs_kind == _SYSFS:
             implicit = (R_PROC_SELF if event.proc_subject_pid in container.pid_set

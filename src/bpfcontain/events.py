@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .policy import AccessFlags, format_access
+from .policy import _ACCESS_STRINGS
 
 
 class FsKind(IntEnum):
@@ -58,15 +58,21 @@ class HardeningKind(IntEnum):
 
 @dataclass(slots=True)
 class FileAccess:
+    """One file access; ``requested`` is a mask of ``AccessFlags`` bits.
+
+    The trace parser gives it as a plain int; an ``AccessFlags`` member
+    judges and renders the same.
+    """
+
     pid: int
     path: str
-    requested: AccessFlags
+    requested: int
     fs_kind: FsKind = FsKind.REGULAR
     owner_mount_ns: int | None = None
     proc_subject_pid: int | None = None
 
     def summary(self) -> str:
-        return f"FileAccess {self.path} {format_access(self.requested)}"
+        return f"FileAccess {self.path} {_ACCESS_STRINGS[self.requested]}"
 
 
 @dataclass(slots=True)

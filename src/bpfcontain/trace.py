@@ -54,7 +54,13 @@ from .events import (
     _IPC_NAMES,
     _SOCKOP_NAMES,
 )
-from .policy import CAPABILITIES, format_access, parse_access, normalize_event_path
+from .policy import (
+    CAPABILITIES,
+    _ACCESS_STRINGS,
+    format_access,
+    normalize_event_path,
+    parse_access,
+)
 from .state import ContainerState
 
 TRACE_FORMAT_VERSION = 1
@@ -196,8 +202,12 @@ class AuditLog:
         return self.outcomes[V_KILL]
 
     def __post_init__(self):
+        records = self.records
         # records kept so far, counted here so that a record costs no len()
-        self._kept = len(self.records)
+        self._kept = len(records)
+        # a writing AuditWriter's lines are written here, so that a kept
+        # record costs one call, not a second one in the writer
+        self._write = records._write if isinstance(records, AuditWriter) else None
 
     def append(self, record: AuditRecord):
         self.outcomes[record.outcome] += 1
@@ -205,7 +215,11 @@ class AuditLog:
             self.taints += 1
         if self._kept < self.capacity:
             self._kept += 1
-            self.records.append(record)
+            if self._write is None:
+                self.records.append(record)
+            else:
+                self._write(record.to_json() + "\n")
+                self.records._count = self._kept
         else:
             self.dropped += 1
 
@@ -233,7 +247,8 @@ class AuditWriter:
     and each record as its audit line as soon as it is appended, so the
     file ends up holding what ``AuditLog.write`` would have written.
     Without it the records are only counted.  ``len()`` is the number
-    appended.
+    appended.  An ``AuditLog`` writes a writing sink's lines itself and
+    keeps its count.
     """
 
     def __init__(self, write=None):
@@ -260,6 +275,9 @@ _SOCK_OPS = {name: op for op, name in _SOCKOP_NAMES.items()}
 _MECHANISMS = {name: mech for mech, name in _IPC_NAMES.items()}
 _HARDENING_OPS = {name: op for op, name in _HARDENING_NAMES.items()}
 _CAPABILITIES = {name: name for name in CAPABILITIES}
+# canonical ``rwax`` spelling -> its plain int mask; other spellings go
+# through ``parse_access``
+_MASKS = {text: mask for mask, text in enumerate(_ACCESS_STRINGS) if text}
 _REGULAR = FsKind.REGULAR  # a FileAccess's fs_kind when the line names none
 
 
@@ -301,6 +319,12 @@ def _int_field(obj: dict, key: str, seq) -> int:
 
 
 def _enum_field(obj: dict, key: str, table: dict, seq):
+    # a list or dict is unhashable: only a str is looked up before _need
+    value = obj.get(key)
+    if type(value) is str:
+        member = table.get(value)
+        if member is not None:
+            return member
     value = _need(obj, key, str, seq)
     if value not in table:
         raise MalformedEvent(seq, f"field {key!r} has unknown value {value!r}")
@@ -323,22 +347,28 @@ def _priv_level(obj, key: str, seq) -> PrivLevel:
 
 
 def _parse_file_access(obj: dict, seq: int) -> FileAccess:
-    pid = _int_field(obj, "pid", seq)
-    # a decoded string passes the inline test; _need only raises
+    # Well-formed fields are accepted inline; the helpers are called only to
+    # normalize a field or to raise its error.
+    pid = obj.get("pid")
+    if type(pid) is not int or not 0 <= pid <= _U32_MAX:
+        pid = _int_field(obj, "pid", seq)
     path = obj.get("path")
-    if type(path) is not str:
+    # normalize_event_path's own first test: absolute, no empty, "." or
+    # ".." component and no trailing slash
+    if not (type(path) is str and path.startswith("/") and "//" not in path
+            and "/." not in path and (path[-1] != "/" or path == "/")):
         path = _need(obj, "path", str, seq)
-    try:
-        path = normalize_event_path(path)
-    except ValueError as exc:
-        raise MalformedEvent(seq, str(exc)) from exc
+        try:
+            path = normalize_event_path(path)
+        except ValueError as exc:
+            raise MalformedEvent(seq, str(exc)) from exc
     requested = obj.get("requested")
-    if type(requested) is not str:
-        requested = _need(obj, "requested", str, seq)
-    try:
-        requested = parse_access(requested)
-    except BadAccessFlags as exc:
-        raise MalformedEvent(seq, f"bad requested flags: {exc}") from exc
+    requested = _MASKS.get(requested) if type(requested) is str else None
+    if requested is None:
+        try:
+            requested = int(parse_access(_need(obj, "requested", str, seq)))
+        except BadAccessFlags as exc:
+            raise MalformedEvent(seq, f"bad requested flags: {exc}") from exc
     fs_kind = _enum_field(obj, "fs_kind", _FS_KINDS, seq) if "fs_kind" in obj else _REGULAR
     owner_ns = obj.get("owner_mount_ns")
     if owner_ns is not None:
@@ -619,7 +649,8 @@ def replay(events: Iterable[TraceEvent], store: CompiledPolicyStore,
                 append(AuditRecord(seq, ev, O_ERROR, R_STATE_ERROR, str(exc)))
                 continue
             cid = container.container_id
-            append(AuditRecord(seq, ev, O_CREATED, R_CREATED, cid, cid, ev.policy_name))
+            append(_new(AuditRecord,
+                        (seq, ev, O_CREATED, R_CREATED, cid, cid, ev.policy_name, None)))
         elif isinstance(ev, Fork):
             if ev.child in killed:
                 append(AuditRecord(seq, ev, O_ERROR, R_KILLED_FORK))
@@ -632,8 +663,8 @@ def replay(events: Iterable[TraceEvent], store: CompiledPolicyStore,
             removed = state.on_exit(ev.pid)
             if removed is not None:
                 cid = removed.container_id
-                append(AuditRecord(seq, ev, O_REMOVED, R_REMOVED, cid, cid,
-                                   store.meta(removed.policy_id).name))
+                append(_new(AuditRecord, (seq, ev, O_REMOVED, R_REMOVED, cid, cid,
+                                          store.meta(removed.policy_id).name, None)))
         else:
             raise TypeError(f"replay() cannot apply event {ev!r}")
 

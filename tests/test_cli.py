@@ -132,6 +132,16 @@ def test_run_unknown_capability_exits_3(policy_dir, tmp_path, capsys):
     assert "CAP_TELEPATHY" in capsys.readouterr().err
 
 
+def test_run_unhashable_requested_exits_3(policy_dir, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    _write_trace(trace, [{"seq": 1, "kind": "FileAccess", "pid": 5, "path": "/x",
+                          "requested": ["r"]}])
+    assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "field 'requested' has wrong type" in err
+    assert "Traceback" not in err
+
+
 def test_run_verbose_logs_milestones(policy_dir, tmp_path, capsys, caplog):
     trace = tmp_path / "t.jsonl"
     _write_trace(trace, [

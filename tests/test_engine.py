@@ -1,8 +1,11 @@
 """Decision pipeline semantics, one spec example at a time."""
 
+import dataclasses
+import itertools
+
 import pytest
 
-from bpfcontain.compiler import CompiledPolicyStore, compile_policies, policy_id
+from bpfcontain.compiler import CompiledPolicyStore, PolicyMeta, compile_policies, policy_id
 from bpfcontain.engine import Verdict, decide
 from bpfcontain.errors import StoreNotSealed, UnknownPolicy
 from bpfcontain.events import (
@@ -20,8 +23,10 @@ from bpfcontain.events import (
     SocketOpKind,
     SwitchNamespaces,
 )
-from bpfcontain.policy import parse_access, parse_policy
+from bpfcontain.policy import AccessFlags, parse_access, parse_policy
 from bpfcontain.state import ContainerState
+
+from corpus import EVENTS, build_world, enumerate_policies
 
 
 def _world(*texts, capacities=None):
@@ -166,6 +171,21 @@ def test_unsealed_store_is_refused():
     state = ContainerState(compile_policies([parse_policy(MINIMAL)]))
     with pytest.raises(StoreNotSealed):
         decide(FileAccess(1, "/x", parse_access("r")), state, store)
+    # a pid confined over a sealed store, judged against an unsealed one
+    state.confine(100, "hello_minimal")
+    with pytest.raises(StoreNotSealed):
+        decide(FileAccess(100, "/x", parse_access("r")), state, store)
+
+    # a pid confined over an unsealed store: its meta has no tables yet
+    store.put_meta(7, PolicyMeta("p", False, False, "/bin/p"))
+    state = ContainerState(store)
+    state.confine(1, "p")
+    for event in (FileAccess(1, "/x", 1),
+                  SocketOp(1, SocketFamily.IPV4, SocketOpKind.CONNECT),
+                  CapabilityUse(1, "CAP_KILL", True),
+                  HardeningOp(1, HardeningKind.PTRACE)):
+        with pytest.raises(StoreNotSealed):
+            decide(event, state, store)
 
 
 def test_policy_missing_from_the_store_is_named_by_id():
@@ -543,3 +563,17 @@ def test_decide_is_deterministic_on_identical_snapshots():
         store, state, _ = _one_container(MINIMAL)
         results.append([decide(ev, state, store) for ev in events])
     assert results[0] == results[1]
+
+
+def test_an_access_flags_mask_decides_as_its_int():
+    # the trace parser gives plain int masks; a library caller may pass the
+    # AccessFlags member and must get an equal decision
+    file_events = [ev for ev in EVENTS if isinstance(ev, FileAccess)]
+    assert all(type(ev.requested) is AccessFlags for ev in file_events)
+    for doc in itertools.islice(enumerate_policies(), 0, None, 251):
+        flags_store, flags_state, _, _, _ = build_world(doc)
+        int_store, int_state, _, _, _ = build_world(doc)
+        for ev in file_events:
+            as_int = dataclasses.replace(ev, requested=int(ev.requested))
+            assert (decide(ev, flags_state, flags_store)
+                    == decide(as_int, int_state, int_store)), (doc, ev)

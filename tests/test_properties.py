@@ -8,7 +8,7 @@ import json
 import posixpath
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bpfcontain import core
 from bpfcontain.core import (
@@ -27,7 +27,7 @@ from bpfcontain.core import (
     classify_device,
 )
 from bpfcontain.engine import R_ALLOW_RULE, R_DEFAULT, R_STATE_ERROR, decide
-from bpfcontain.errors import TraceError
+from bpfcontain.errors import BadAccessFlags, MalformedEvent, TraceError
 from bpfcontain.events import (
     CapabilityUse,
     CommitCreds,
@@ -60,6 +60,7 @@ from bpfcontain.trace import (
     TraceEvent,
     event_to_object,
     parse_trace,
+    parse_trace_object,
     write_trace,
 )
 
@@ -181,6 +182,38 @@ def test_canonical_path_shortcut_matches_normpath(path):
     assert normalize_event_path(path) == expected
 
 
+path_tokens = st.lists(st.sampled_from(("/", ".", "..", "a")), max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(requested=st.text(st.sampled_from("rwaxRq"), max_size=6),
+       path=path_tokens | path_tokens.map(lambda p: "/" + p))
+@example(requested="r", path="/a/..")  # each clause of the canonical test
+@example(requested="r", path="/a/.")
+@example(requested="r", path="/a//a")
+@example(requested="r", path="/a/")
+@example(requested="r", path="a")
+@example(requested="wr", path="/")
+def test_inline_field_acceptance_matches_the_helpers(requested, path):
+    # the parser accepts well-formed fields without calling the helpers; it
+    # must give what they give, or raise the error they lead to, the path's
+    # before the mask's
+    try:
+        expected = normalize_event_path(path), int(parse_access(requested))
+    except ValueError as exc:
+        expected = str(exc)
+    except BadAccessFlags as exc:
+        expected = f"bad requested flags: {exc}"
+    obj = {"seq": 1, "kind": "FileAccess", "pid": 1, "path": path, "requested": requested}
+    try:
+        event = parse_trace_object(obj).event
+    except MalformedEvent as exc:
+        assert exc.why == expected
+    else:
+        assert (event.path, event.requested) == expected
+        assert type(event.requested) is int
+
+
 @given(st.text(st.sampled_from("rwax"), min_size=1, max_size=6))
 def test_parse_access_ors_the_flags(flags):
     expected = AccessFlags(0)
@@ -239,6 +272,13 @@ kernel_paths = st.one_of(
 )
 masks = st.integers(min_value=0, max_value=15)
 entries = st.tuples(masks, masks, masks)  # (allow, deny, taint)
+
+
+@given(kernel_paths | st.text(st.sampled_from("/devtynul"), max_size=12))
+def test_only_a_dev_path_is_a_device(path):
+    # the file kernel classifies only paths under /dev/
+    if classify_device(path) >= 0:
+        assert path.startswith("/dev/")
 
 
 def _lineage(path):

@@ -1,6 +1,7 @@
 """Streaming ``bpfcontain run``: events parsed lazily, audit records written as
 they are decided, and an audit file that appears only when the run succeeds."""
 
+import collections
 import hashlib
 import io
 import json
@@ -61,19 +62,18 @@ def test_iter_trace_raises_a_later_error_only_when_it_gets_there():
 
 # The most Python-level calls one replayed event may cost, parse through
 # audit line: each call the per-event path makes adds to every event.
-CALLS_PER_EVENT = 21
+CALLS_PER_EVENT = 15
 
 
 def test_replay_stays_within_the_per_event_call_budget():
     workload = workloads.steady_mix(5, 3000)
     store = compile_policies([parse_policy(text) for _, text in workload.policies])
     lines = list(workload.trace_lines())
-    calls = 0
+    calls = collections.Counter()
 
     def profile(frame, event, arg):
-        nonlocal calls
         if event == "call":
-            calls += 1
+            calls[frame.f_code] += 1
 
     sys.setprofile(profile)
     try:
@@ -81,7 +81,13 @@ def test_replay_stays_within_the_per_event_call_budget():
     finally:
         sys.setprofile(None)
     assert log.events == 3000
-    assert calls / log.events <= CALLS_PER_EVENT
+    per_event = sum(calls.values()) / log.events
+    # on failure, say where the calls went
+    most = ", ".join(
+        f"{code.co_name} ({os.path.basename(code.co_filename)}:{code.co_firstlineno})"
+        f" {n / log.events:.2f}" for code, n in calls.most_common(5))
+    assert per_event <= CALLS_PER_EVENT, (
+        f"{per_event:.2f} Python calls per event, budget {CALLS_PER_EVENT}; most: {most}")
 
 
 # --- the records sink ------------------------------------------------------------

@@ -219,6 +219,38 @@ def test_trace_rejects_bad_enum_value():
         parse_trace(lines)
 
 
+# every field the parser looks up in a table inline, in an event otherwise valid
+_LOOKED_UP = [
+    ({"kind": "FileAccess", "pid": 1, "path": "/x", "requested": "r"}, "requested"),
+    ({"kind": "FileAccess", "pid": 1, "path": "/x", "requested": "r", "fs_kind": "Procfs"},
+     "fs_kind"),
+    ({"kind": "SocketOp", "pid": 1, "family": "Ipv4", "op": "Connect"}, "family"),
+    ({"kind": "SocketOp", "pid": 1, "family": "Ipv4", "op": "Connect"}, "op"),
+    ({"kind": "HardeningOp", "pid": 1, "op": "Ptrace"}, "op"),
+    ({"kind": "IpcOp", "pid": 1, "peer_pid": 2, "mechanism": "Signal"}, "mechanism"),
+    ({"kind": "CapabilityUse", "pid": 1, "capability": "CAP_KILL", "possessed": True},
+     "capability"),
+]
+
+
+@pytest.mark.parametrize("value", [[], {}], ids=["list", "dict"])
+@pytest.mark.parametrize("obj, key", _LOOKED_UP,
+                         ids=[f"{obj['kind']}.{key}" for obj, key in _LOOKED_UP])
+def test_trace_unhashable_value_is_the_wrong_type(obj, key, value):
+    parse_trace_object({"seq": 1, **obj})  # valid as it stands
+    with pytest.raises(MalformedEvent) as exc:
+        parse_trace_object({"seq": 1, **obj, key: value})
+    assert exc.value.why == f"field {key!r} has wrong type"
+
+
+@pytest.mark.parametrize("flags", ["rw", "wr", "rwax", "xxr"])
+def test_trace_requested_is_a_plain_int_mask(flags):
+    [te] = parse_trace(_lines({"seq": 1, "kind": "FileAccess", "pid": 1,
+                               "path": "/x", "requested": flags}))
+    assert type(te.event.requested) is int
+    assert te.event.requested == parse_access(flags)
+
+
 def test_trace_rejects_boolean_integers():
     # JSON true/false decode to Python bools, which are ints; none may pass
     for obj in (
