@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .policy import _ACCESS_STRINGS
+from .policy import ACCESS_STRINGS
 
 
 class FsKind(IntEnum):
@@ -72,7 +72,7 @@ class FileAccess:
     proc_subject_pid: int | None = None
 
     def summary(self) -> str:
-        return f"FileAccess {self.path} {_ACCESS_STRINGS[self.requested]}"
+        return f"FileAccess {self.path} {ACCESS_STRINGS[self.requested & 15]}"
 
 
 @dataclass(slots=True)

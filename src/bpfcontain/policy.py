@@ -94,7 +94,7 @@ def parse_access(flags: str) -> AccessFlags:
     return _ACCESS_MEMBERS[mask]
 
 
-_ACCESS_STRINGS = tuple(
+ACCESS_STRINGS = tuple(
     "".join(ch for ch, flag in _FLAG_CHARS if mask & int(flag))
     for mask in range(16)
 )
@@ -102,7 +102,7 @@ _ACCESS_STRINGS = tuple(
 
 def format_access(mask: int) -> str:
     """Render an access mask in canonical ``rwax`` order."""
-    return _ACCESS_STRINGS[int(mask) & 15]
+    return ACCESS_STRINGS[int(mask) & 15]
 
 
 class DeviceKind(IntEnum):
@@ -181,9 +181,6 @@ def normalize_event_path(path: str) -> str:
     """Normalize a trace-supplied path (lexical only, ``..`` resolved in place)."""
     if not path.startswith("/"):
         raise ValueError(f"event path must be absolute: {path!r}")
-    # already canonical: no empty, "." or ".." component and no trailing slash
-    if "//" not in path and "/." not in path and (path[-1] != "/" or path == "/"):
-        return path
     return _normpath(path)
 
 

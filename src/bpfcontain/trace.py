@@ -55,8 +55,8 @@ from .events import (
     _SOCKOP_NAMES,
 )
 from .policy import (
+    ACCESS_STRINGS,
     CAPABILITIES,
-    _ACCESS_STRINGS,
     format_access,
     normalize_event_path,
     parse_access,
@@ -179,7 +179,8 @@ class AuditLog:
     New records are dropped (and counted) once the buffer is full, the way
     a fixed-size ring buffer sheds events the consumer never drained.  The
     counters see every record, kept or dropped.  ``records`` holds the kept
-    ones, or is an ``AuditWriter`` that writes them out as they come.
+    ones, or is an ``AuditWriter``: through a writing one, the log writes
+    each kept record's audit line as it comes.
     """
 
     capacity: int = DEFAULT_AUDIT_CAPACITY
@@ -241,14 +242,13 @@ class AuditLog:
 
 
 class AuditWriter:
-    """A ``records`` sink for ``replay`` that keeps no record.
+    """A ``records`` sink for ``replay`` that keeps no record, only a count.
 
-    With ``write`` (a text file's ``write``), the header goes out at once
-    and each record as its audit line as soon as it is appended, so the
-    file ends up holding what ``AuditLog.write`` would have written.
-    Without it the records are only counted.  ``len()`` is the number
-    appended.  An ``AuditLog`` writes a writing sink's lines itself and
-    keeps its count.
+    With ``write`` (a text file's ``write``), the header goes out at once;
+    the ``AuditLog`` that holds the sink then writes each kept record's
+    audit line through ``write`` and keeps the count itself, so the file
+    ends up holding what ``AuditLog.write`` would have written.  Without
+    it the records are only counted.  ``len()`` is the number kept.
     """
 
     def __init__(self, write=None):
@@ -262,8 +262,6 @@ class AuditWriter:
 
     def append(self, record: AuditRecord):
         self._count += 1
-        if self._write is not None:
-            self._write(record.to_json() + "\n")
 
 
 # --- trace parsing -------------------------------------------------------------
@@ -277,7 +275,7 @@ _HARDENING_OPS = {name: op for op, name in _HARDENING_NAMES.items()}
 _CAPABILITIES = {name: name for name in CAPABILITIES}
 # canonical ``rwax`` spelling -> its plain int mask; other spellings go
 # through ``parse_access``
-_MASKS = {text: mask for mask, text in enumerate(_ACCESS_STRINGS) if text}
+_MASKS = {text: mask for mask, text in enumerate(ACCESS_STRINGS) if text}
 _REGULAR = FsKind.REGULAR  # a FileAccess's fs_kind when the line names none
 
 
@@ -349,12 +347,11 @@ def _priv_level(obj, key: str, seq) -> PrivLevel:
 def _parse_file_access(obj: dict, seq: int) -> FileAccess:
     # Well-formed fields are accepted inline; the helpers are called only to
     # normalize a field or to raise its error.
-    pid = obj.get("pid")
-    if type(pid) is not int or not 0 <= pid <= _U32_MAX:
-        pid = _int_field(obj, "pid", seq)
+    pid = _int_field(obj, "pid", seq)
     path = obj.get("path")
-    # normalize_event_path's own first test: absolute, no empty, "." or
-    # ".." component and no trailing slash
+    # an already-canonical path (absolute, no empty, "." or ".." component
+    # and no trailing slash) is taken as it is; normalize_event_path checks
+    # and normalizes any other
     if not (type(path) is str and path.startswith("/") and "//" not in path
             and "/." not in path and (path[-1] != "/" or path == "/")):
         path = _need(obj, "path", str, seq)

@@ -186,6 +186,12 @@ def test_unsealed_store_is_refused():
                   HardeningOp(1, HardeningKind.PTRACE)):
         with pytest.raises(StoreNotSealed):
             decide(event, state, store)
+    # only seal() gives a meta its tables, so a loaded meta cannot pass as sealed
+    for tables in ({"files": (None, None, None, None, 0)}, {"network": (0, 0, 0)},
+                   {"ipc": {}}, {"capability": {}}):
+        with pytest.raises(ValueError, match="gets its tables from seal"):
+            store.put_meta(7, PolicyMeta("p", False, False, "/bin/p", **tables))
+    assert store.meta(7).files is None
 
 
 def test_policy_missing_from_the_store_is_named_by_id():

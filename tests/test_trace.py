@@ -23,7 +23,7 @@ from bpfcontain.events import (
     SocketOpKind,
     SwitchNamespaces,
 )
-from bpfcontain.policy import parse_access
+from bpfcontain.policy import AccessFlags, parse_access
 from bpfcontain.trace import (
     Confine,
     Exit,
@@ -249,6 +249,12 @@ def test_trace_requested_is_a_plain_int_mask(flags):
                                "path": "/x", "requested": flags}))
     assert type(te.event.requested) is int
     assert te.event.requested == parse_access(flags)
+
+
+@pytest.mark.parametrize("mask", [3, 19, -29, AccessFlags(3), AccessFlags(19)])
+def test_file_access_summary_renders_the_low_four_bits(mask):
+    # as format_access does, for a mask a library caller builds
+    assert FileAccess(1, "/x", mask).summary() == "FileAccess /x rw"
 
 
 def test_trace_rejects_boolean_integers():
