@@ -35,9 +35,7 @@ from .state import DEFAULT_CONTAINER_CAPACITY, ContainerState
 from .trace import (
     DEFAULT_AUDIT_CAPACITY,
     AuditWriter,
-    Confine,
-    Exit,
-    Fork,
+    LifecycleEvent,
     iter_trace,
     parse_trace,  # unused here, but perfbench/tracer.py wraps ``cli.parse_trace``
     parse_trace_object,
@@ -279,7 +277,7 @@ def cmd_explain(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRACE
     event = te.event
-    if isinstance(event, (Confine, Fork, Exit)):
+    if isinstance(event, LifecycleEvent):
         print("error: explain needs a mediated event, not a lifecycle record", file=sys.stderr)
         return EXIT_TRACE
 

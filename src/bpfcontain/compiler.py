@@ -69,12 +69,16 @@ class MapCapacities:
 class PolicyMeta:
     """A policy's header and, once its store is sealed, its tables.
 
-    ``seal()`` fills the tables (hot path; do not mutate them): ``files`` is
-    ``(file_t, subdir_t, fs_t, dev_t, top)``, each table None if the policy
-    has no such rule and ``top`` the number of components in its deepest
-    subdir or filesystem key (``/`` counting 0, and 0 if it has neither
-    kind); ``network`` is its category-mask triple; ``ipc`` and
-    ``capability`` map a peer policy id or a capability name to its triple.
+    ``seal()`` fills the tables: ``files`` is ``(file_t, subdir_t, fs_t,
+    dev_t, top)``, each table None if the policy has no such rule and ``top``
+    the number of components in its deepest subdir or filesystem key (``/``
+    counting 0, and 0 if it has neither kind); ``network`` is its
+    category-mask triple; ``ipc`` and ``capability`` map a peer policy id or
+    a capability name to its triple.
+
+    The seal guards only the store's mutation API: these tables hold the
+    store's own dicts, writable so that lookups stay plain dict gets, and an
+    edit to one changes every later decision.  Do not mutate them.
     """
 
     name: str

@@ -201,17 +201,16 @@ class Decision(NamedTuple):
 
     def explain(self) -> str:
         """Human-readable outcome, e.g. ``Allow: device rule tty rw``."""
-        return f"{self.verdict.value}: {self.audit_reason()}"
-
-    def audit_reason(self) -> str:
-        return reason_text(self.verdict_code, self.code, self.detail, self.policy,
-                           self.taint_detail)
+        reason = reason_text(self.verdict_code, self.code, self.detail, self.policy,
+                             self.taint_detail)
+        return f"{self.verdict.value}: {reason}"
 
 
 # the decision for every event from an unconfined pid
 _UNCONFINED = Decision(V_UNCONFINED, R_UNCONFINED)
-# ``tuple.__new__(Decision, values)`` builds a Decision in one C call, without
-# the Python ``__new__`` the NamedTuple class generates
+# ``tuple.__new__(NT, values)`` builds a NamedTuple in one C call, without the
+# Python ``__new__`` its class generates; the hot paths here and in ``trace``
+# build with it
 _new = tuple.__new__
 
 

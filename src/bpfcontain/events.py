@@ -146,9 +146,10 @@ class HardeningOp:
         return f"HardeningOp {_HARDENING_NAMES[self.op]}"
 
 
+# mediated kinds, most frequent first: replay tests an event against them in order
 HookEvent = (
     FileAccess | SocketOp | IpcOp | CapabilityUse
-    | CommitCreds | SwitchNamespaces | HardeningOp
+    | HardeningOp | CommitCreds | SwitchNamespaces
 )
 
 # Wire-format spellings (trace files and audit summaries); the trace parser
@@ -175,6 +176,9 @@ _HARDENING_NAMES = {
     HardeningKind.LOCKDOWN: "Lockdown",
     HardeningKind.UNLINK_PINNED_OBJECT: "UnlinkPinnedObject",
 }
+# enum type -> its table above
+_WIRE_NAMES = {FsKind: _FSKIND_NAMES, SocketFamily: _FAMILY_NAMES, SocketOpKind: _SOCKOP_NAMES,
+               IpcMechanism: _IPC_NAMES, HardeningKind: _HARDENING_NAMES}
 
 # Short spellings used in hardening denial reasons ("implicit hardening (bpf)").
 HARDENING_SHORT = {

@@ -264,15 +264,21 @@ class PolicyDocument:
 _TOP_LEVEL_KEYS = {"name", "entry", "default", "allow", "deny", "taint"}
 
 
-def _parse_path_and_flags(kind: str, value) -> tuple[str, AccessFlags]:
+def _split_rule_value(kind: str, value, key) -> tuple:
+    """A ``<key> [flags]`` rule value as ``(key(<key>), flags)``."""
     if not isinstance(value, str) or not value.strip():
         raise MalformedRule(f"{kind} rule value must be a non-empty string")
     parts = value.split()
-    if len(parts) == 1:
-        return normalize_rule_path(parts[0]), DEFAULT_ACCESS
-    if len(parts) == 2:
-        return normalize_rule_path(parts[0]), parse_access(parts[1])
-    raise MalformedRule(f"{kind} rule value has too many fields: {value!r}")
+    if len(parts) > 2:
+        raise MalformedRule(f"{kind} rule value has too many fields: {value!r}")
+    return key(parts[0]), parse_access(parts[1]) if len(parts) == 2 else DEFAULT_ACCESS
+
+
+def _device_kind(name: str) -> DeviceKind:
+    dev = _DEVICE_NAMES.get(name.lower())
+    if dev is None:
+        raise MalformedRule(f"unknown device kind: {name!r}")
+    return dev
 
 
 def _parse_network_value(value) -> NetCategory:
@@ -310,26 +316,13 @@ def _parse_rule(entry) -> Rule:
     (kind, value), = entry.items()
     kind = str(kind).lower()
     if kind == "file":
-        path, access = _parse_path_and_flags("file", value)
-        return FileRule(path, access)
+        return FileRule(*_split_rule_value("file", value, normalize_rule_path))
     if kind == "subdir":
-        path, access = _parse_path_and_flags("subdir", value)
-        return SubdirRule(path, access)
+        return SubdirRule(*_split_rule_value("subdir", value, normalize_rule_path))
     if kind in ("filesystem", "fs"):
-        mountpoint, access = _parse_path_and_flags("filesystem", value)
-        return FilesystemRule(mountpoint, access)
+        return FilesystemRule(*_split_rule_value("filesystem", value, normalize_rule_path))
     if kind == "device":
-        if not isinstance(value, str) or not value.strip():
-            raise MalformedRule(f"device rule value must be a non-empty string: {value!r}")
-        parts = value.split()
-        dev = _DEVICE_NAMES.get(parts[0].lower())
-        if dev is None:
-            raise MalformedRule(f"unknown device kind: {parts[0]!r}")
-        if len(parts) == 1:
-            return DeviceRule(dev, DEFAULT_ACCESS)
-        if len(parts) == 2:
-            return DeviceRule(dev, parse_access(parts[1]))
-        raise MalformedRule(f"device rule value has too many fields: {value!r}")
+        return DeviceRule(*_split_rule_value("device", value, _device_kind))
     if kind == "tty":
         if value is None:
             return TtyRule(DEFAULT_ACCESS)

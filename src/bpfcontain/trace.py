@@ -13,7 +13,7 @@ a trace: one event parsed, judged and written at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -27,6 +27,7 @@ from .engine import (
     R_REMOVED,
     R_STATE_ERROR,
     Verdict,
+    _new,
     decide,
     reason_text,
 )
@@ -53,6 +54,7 @@ from .events import (
     _HARDENING_NAMES,
     _IPC_NAMES,
     _SOCKOP_NAMES,
+    _WIRE_NAMES,
 )
 from .policy import (
     ACCESS_STRINGS,
@@ -101,19 +103,13 @@ class Exit:
 
 LifecycleEvent = Confine | Fork | Exit
 
-# mediated kinds, most frequent first: replay tests these before lifecycle records
-_HOOK_TYPES = (FileAccess, SocketOp, IpcOp, CapabilityUse, HardeningOp,
-               CommitCreds, SwitchNamespaces)
+# the mediated kinds: replay tests these, in order, before lifecycle records
+_HOOK_TYPES = HookEvent.__args__
 
 
 class TraceEvent(NamedTuple):
     seq: int
     event: HookEvent | LifecycleEvent
-
-
-# ``tuple.__new__(NT, values)`` builds a NamedTuple in one C call, without
-# the Python ``__new__`` its class generates; the hot paths build with it
-_new = tuple.__new__
 
 
 # --- audit trail ---------------------------------------------------------------
@@ -172,23 +168,28 @@ class AuditRecord(NamedTuple):
         )
 
 
-@dataclass
 class AuditLog:
     """Bounded audit sink with ring-buffer overflow accounting.
 
     New records are dropped (and counted) once the buffer is full, the way
     a fixed-size ring buffer sheds events the consumer never drained.  The
-    counters see every record, kept or dropped.  ``records`` holds the kept
-    ones, or is an ``AuditWriter``: through a writing one, the log writes
-    each kept record's audit line as it comes.
+    counters see every record, kept or dropped.  ``records`` (a new list by
+    default) holds the kept ones, or is an ``AuditWriter``: through a
+    writing one, the log writes each kept record's audit line as it comes.
     """
 
-    capacity: int = DEFAULT_AUDIT_CAPACITY
-    records: list[AuditRecord] = field(default_factory=list)
-    dropped: int = 0
-    events: int = 0
-    outcomes: list[int] = field(default_factory=lambda: [0] * len(OUTCOMES))
-    taints: int = 0
+    def __init__(self, capacity: int = DEFAULT_AUDIT_CAPACITY, records=None):
+        self.capacity = capacity
+        self.records = records = [] if records is None else records
+        self.dropped = 0
+        self.events = 0  # set by replay: every event, audited or not
+        self.outcomes = [0] * len(OUTCOMES)
+        self.taints = 0
+        # records kept so far, counted here so that a record costs no len()
+        self._kept = len(records)
+        # a writing AuditWriter's lines are written here, so that a kept
+        # record costs one call, not a second one in the writer
+        self._write = records._write if isinstance(records, AuditWriter) else None
 
     @property
     def allows(self) -> int:
@@ -201,14 +202,6 @@ class AuditLog:
     @property
     def kills(self) -> int:
         return self.outcomes[V_KILL]
-
-    def __post_init__(self):
-        records = self.records
-        # records kept so far, counted here so that a record costs no len()
-        self._kept = len(records)
-        # a writing AuditWriter's lines are written here, so that a kept
-        # record costs one call, not a second one in the writer
-        self._write = records._write if isinstance(records, AuditWriter) else None
 
     def append(self, record: AuditRecord):
         self.outcomes[record.outcome] += 1
@@ -329,11 +322,20 @@ def _enum_field(obj: dict, key: str, table: dict, seq):
     return table[value]
 
 
+def _object_field(obj: dict, key: str, allowed: set, seq) -> dict:
+    """The nested object under ``key``, holding no field outside ``allowed``;
+    it makes ``_need``'s checks itself, so a nested object costs one call."""
+    value = obj.get(key)
+    if not isinstance(value, dict):
+        raise MalformedEvent(seq, f"missing field {key!r}" if key not in obj
+                             else f"field {key!r} has wrong type")
+    if not value.keys() <= allowed:
+        raise MalformedEvent(seq, f"{key}: unknown fields {sorted(value.keys() - allowed)}")
+    return value
+
+
 def _priv_level(obj, key: str, seq) -> PrivLevel:
-    value = _need(obj, key, dict, seq)
-    extra = set(value) - {"uid", "capability_set"}
-    if extra:
-        raise MalformedEvent(seq, f"{key}: unknown fields {sorted(extra)}")
+    value = _object_field(obj, key, {"uid", "capability_set"}, seq)
     uid = _int(value.get("uid"), f"{key}.uid", seq)
     caps = value.get("capability_set", [])
     if not isinstance(caps, list) or any(not isinstance(c, str) for c in caps):
@@ -433,32 +435,40 @@ def _parse_confine(obj: dict, seq: int) -> Confine:
     name = _need(obj, "policy_name", str, seq)
     mount_ns = ipc_ns = 0
     if obj.get("ns_info") is not None:
-        ns = _need(obj, "ns_info", dict, seq)
-        extra = set(ns) - {"mount_ns", "ipc_ns"}
-        if extra:
-            raise MalformedEvent(seq, f"ns_info: unknown fields {sorted(extra)}")
+        ns = _object_field(obj, "ns_info", {"mount_ns", "ipc_ns"}, seq)
         mount_ns = _int(ns.get("mount_ns", 0), "ns_info.mount_ns", seq, _U64_MAX)
         ipc_ns = _int(ns.get("ipc_ns", 0), "ns_info.ipc_ns", seq, _U64_MAX)
     return Confine(pid, name, mount_ns, ipc_ns)
 
 
-# kind -> (parser, the fields an event of that kind may carry)
+# Confine's fields that a trace line nests under ``ns_info``
+_NS_FIELDS = {"mount_ns", "ipc_ns"}
+
+
+def _wire_fields(cls) -> frozenset:
+    """``seq``, ``kind`` and the fields of ``cls``, Confine's namespaces as ``ns_info``."""
+    names = {"seq", "kind"} | {f.name for f in fields(cls)}
+    return frozenset(names - _NS_FIELDS | {"ns_info"} if cls is Confine else names)
+
+
+# kind -> (parser, the fields an event of that kind may carry, its class)
 _PARSERS = {
-    kind: (parser, frozenset({"seq", "kind"} | fields))
-    for kind, parser, fields in (
-        ("FileAccess", _parse_file_access,
-         {"pid", "path", "requested", "fs_kind", "owner_mount_ns", "proc_subject_pid"}),
-        ("SocketOp", _parse_socket_op, {"pid", "family", "op"}),
-        ("IpcOp", _parse_ipc_op, {"pid", "peer_pid", "mechanism"}),
-        ("CapabilityUse", _parse_capability_use, {"pid", "capability", "possessed"}),
-        ("CommitCreds", _parse_commit_creds, {"pid", "old_priv", "new_priv"}),
-        ("SwitchNamespaces", _parse_switch_namespaces, {"pid"}),
-        ("HardeningOp", _parse_hardening_op, {"pid", "op"}),
-        ("fork", _parse_fork, {"parent", "child"}),
-        ("exit", _parse_exit, {"pid"}),
-        ("confine", _parse_confine, {"pid", "policy_name", "ns_info"}),
+    kind: (parser, _wire_fields(cls), cls)
+    for kind, cls, parser in (
+        ("FileAccess", FileAccess, _parse_file_access),
+        ("SocketOp", SocketOp, _parse_socket_op),
+        ("IpcOp", IpcOp, _parse_ipc_op),
+        ("CapabilityUse", CapabilityUse, _parse_capability_use),
+        ("CommitCreds", CommitCreds, _parse_commit_creds),
+        ("SwitchNamespaces", SwitchNamespaces, _parse_switch_namespaces),
+        ("HardeningOp", HardeningOp, _parse_hardening_op),
+        ("fork", Fork, _parse_fork),
+        ("exit", Exit, _parse_exit),
+        ("confine", Confine, _parse_confine),
     )
 }
+# event class -> its kind
+_KINDS = {cls: kind for kind, (_, _, cls) in _PARSERS.items()}
 
 
 def parse_trace_object(obj: dict, seq=None) -> TraceEvent:
@@ -485,9 +495,9 @@ def parse_trace_object(obj: dict, seq=None) -> TraceEvent:
     entry = _PARSERS.get(kind) if isinstance(kind, str) else None
     if entry is None:
         raise MalformedEvent(seq, f"unknown event kind {kind!r}")
-    parser, fields = entry
-    if not obj.keys() <= fields:
-        raise MalformedEvent(seq, f"unknown fields for {kind}: {sorted(obj.keys() - fields)}")
+    parser, allowed, _ = entry
+    if not obj.keys() <= allowed:
+        raise MalformedEvent(seq, f"unknown fields for {kind}: {sorted(obj.keys() - allowed)}")
     return _new(TraceEvent, (seq, parser(obj, seq)))
 
 
@@ -545,46 +555,32 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
 
 
 def event_to_object(te: TraceEvent) -> dict:
-    """Serialize a TraceEvent back into its wire-format JSON object."""
+    """Serialize a TraceEvent back into its wire-format JSON object.
+
+    The event's fields, in class order and each under its own name, except
+    that Confine's namespaces are nested under ``ns_info``.  A None field
+    and a FileAccess's ``Regular`` fs_kind are left out.
+    """
     ev = te.event
-    out: dict = {"seq": te.seq}
-    if isinstance(ev, FileAccess):
-        out.update(kind="FileAccess", pid=ev.pid, path=ev.path,
-                   requested=format_access(ev.requested))
-        if ev.fs_kind != FsKind.REGULAR:
-            out["fs_kind"] = _FSKIND_NAMES[ev.fs_kind]
-        if ev.owner_mount_ns is not None:
-            out["owner_mount_ns"] = ev.owner_mount_ns
-        if ev.proc_subject_pid is not None:
-            out["proc_subject_pid"] = ev.proc_subject_pid
-    elif isinstance(ev, SocketOp):
-        out.update(kind="SocketOp", pid=ev.pid, family=_FAMILY_NAMES[ev.family],
-                   op=_SOCKOP_NAMES[ev.op])
-    elif isinstance(ev, IpcOp):
-        out.update(kind="IpcOp", pid=ev.pid, peer_pid=ev.peer_pid,
-                   mechanism=_IPC_NAMES[ev.mechanism])
-    elif isinstance(ev, CapabilityUse):
-        out.update(kind="CapabilityUse", pid=ev.pid, capability=ev.capability,
-                   possessed=ev.possessed)
-    elif isinstance(ev, CommitCreds):
-        out.update(kind="CommitCreds", pid=ev.pid,
-                   old_priv={"uid": ev.old_priv.uid,
-                             "capability_set": sorted(ev.old_priv.capability_set)},
-                   new_priv={"uid": ev.new_priv.uid,
-                             "capability_set": sorted(ev.new_priv.capability_set)})
-    elif isinstance(ev, SwitchNamespaces):
-        out.update(kind="SwitchNamespaces", pid=ev.pid)
-    elif isinstance(ev, HardeningOp):
-        out.update(kind="HardeningOp", pid=ev.pid, op=_HARDENING_NAMES[ev.op])
-    elif isinstance(ev, Confine):
-        out.update(kind="confine", pid=ev.pid, policy_name=ev.policy_name,
-                   ns_info={"mount_ns": ev.mount_ns, "ipc_ns": ev.ipc_ns})
-    elif isinstance(ev, Fork):
-        out.update(kind="fork", parent=ev.parent, child=ev.child)
-    elif isinstance(ev, Exit):
-        out.update(kind="exit", pid=ev.pid)
-    else:  # pragma: no cover
+    kind = _KINDS.get(type(ev))
+    if kind is None:
         raise TypeError(f"unhandled event {ev!r}")
+    out: dict = {"seq": te.seq, "kind": kind}
+    for f in fields(ev):
+        name = f.name
+        value = getattr(ev, name)
+        if value is None or value is _REGULAR:
+            continue
+        if type(value) in _WIRE_NAMES:
+            value = _WIRE_NAMES[type(value)][value]
+        elif isinstance(value, PrivLevel):
+            value = {"uid": value.uid, "capability_set": sorted(value.capability_set)}
+        elif name == "requested":
+            value = format_access(value)
+        if name in _NS_FIELDS:
+            out.setdefault("ns_info", {})[name] = value
+        else:
+            out[name] = value
     return out
 
 
@@ -612,7 +608,7 @@ def replay(events: Iterable[TraceEvent], store: CompiledPolicyStore,
     """
     if state is None:
         state = ContainerState(store)
-    log = AuditLog(audit_capacity, [] if records is None else records)
+    log = AuditLog(audit_capacity, records)
     append = log.append
     killed: set[int] = set()
     last_seq = None

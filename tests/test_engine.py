@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -583,3 +584,15 @@ def test_an_access_flags_mask_decides_as_its_int():
             as_int = dataclasses.replace(ev, requested=int(ev.requested))
             assert (decide(ev, flags_state, flags_store)
                     == decide(as_int, int_state, int_store)), (doc, ev)
+
+
+def test_the_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    # the python block under "## Library use", run beside the web.yml it reads
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    (tmp_path / "web.yml").write_text(
+        "name: web\nentry: /usr/bin/web\nallow:\n  - tty: rw\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(snippet, str(readme), "exec"), {})
+    assert capsys.readouterr().out == "Allow: device rule tty rw\n"

@@ -143,6 +143,31 @@ def test_subdir_filesystem_device_rules():
         parse_policy("name: x\nentry: /bin/sh\nallow:\n  - device: floppy r\n")
 
 
+# ``<key> [flags]`` rule values and the message each malformed one gets; the
+# field count is checked before the key
+@pytest.mark.parametrize("rule, error, message", [
+    ("file: ''", MalformedRule, "file rule value must be a non-empty string"),
+    ("subdir: [/a]", MalformedRule, "subdir rule value must be a non-empty string"),
+    ("fs: /a r w", MalformedRule, "filesystem rule value has too many fields: '/a r w'"),
+    ("file: ../a r w", MalformedRule, "file rule value has too many fields: '../a r w'"),
+    ("file: a r", InvalidPath, "a"),
+    ("device: ''", MalformedRule, "device rule value must be a non-empty string"),
+    ("device: floppy r", MalformedRule, "unknown device kind: 'floppy'"),
+    ("device: floppy r w", MalformedRule, "device rule value has too many fields: 'floppy r w'"),
+    ("device: TTY rq", BadAccessFlags, ""),
+])
+def test_malformed_key_and_flags_values(rule, error, message):
+    with pytest.raises(error) as info:
+        parse_policy(f"name: x\nentry: /bin/sh\nallow:\n  - {rule}\n")
+    assert message in str(info.value)
+
+
+def test_key_and_flags_values_default_to_rw():
+    doc = parse_policy("name: x\nentry: /bin/sh\nallow:\n  - device: Zero\n  - file: /a/\n")
+    assert doc.allow == [DeviceRule(DeviceKind.ZERO, AccessFlags.READ | AccessFlags.WRITE),
+                         FileRule("/a", AccessFlags.READ | AccessFlags.WRITE)]
+
+
 def test_network_rule_forms():
     doc = parse_policy(
         "name: x\nentry: /bin/sh\nallow:\n"

@@ -15,6 +15,7 @@ from bpfcontain.events import (
     FsKind,
     HardeningKind,
     HardeningOp,
+    HookEvent,
     IpcMechanism,
     IpcOp,
     PrivLevel,
@@ -25,9 +26,11 @@ from bpfcontain.events import (
 )
 from bpfcontain.policy import AccessFlags, parse_access
 from bpfcontain.trace import (
+    _PARSERS,
     Confine,
     Exit,
     Fork,
+    LifecycleEvent,
     TraceEvent,
     event_to_object,
     iter_trace,
@@ -373,6 +376,47 @@ def test_event_serialization_is_stable():
         "seq": 3, "kind": "confine", "pid": 9, "policy_name": "p",
         "ns_info": {"mount_ns": 1, "ipc_ns": 2},
     }
+
+
+# one event of every class, each optional field set
+_EVERY_CLASS = [
+    FileAccess(1, "/proc/1/x", parse_access("r"), FsKind.PROCFS, 7, 1),
+    SocketOp(1, SocketFamily.UNIX, SocketOpKind.BIND),
+    IpcOp(1, 2, IpcMechanism.SYSV),
+    CapabilityUse(1, "CAP_KILL", False),
+    CommitCreds(1, PrivLevel(5, frozenset({"CAP_KILL"})), PrivLevel(6)),
+    SwitchNamespaces(1),
+    HardeningOp(1, HardeningKind.MOUNT),
+    Fork(1, 2),
+    Exit(1),
+    Confine(1, "p", 3, 4),
+]
+
+
+def test_an_event_class_is_its_wire_schema():
+    assert {type(ev) for ev in _EVERY_CLASS} == (
+        set(HookEvent.__args__) | set(LifecycleEvent.__args__))
+    assert len(_PARSERS) == len(_EVERY_CLASS)
+    for ev in _EVERY_CLASS:
+        obj = event_to_object(TraceEvent(1, ev))
+        names = [f.name for f in dataclasses.fields(ev)]
+        if isinstance(ev, Confine):
+            names = ["pid", "policy_name", "ns_info"]
+        assert list(obj) == ["seq", "kind"] + names
+        # the parser accepts exactly those fields
+        _, accepted, cls = _PARSERS[obj["kind"]]
+        assert cls is type(ev) and accepted == {"seq", "kind", *names}
+        assert parse_trace_object(obj) == (1, ev)
+        with pytest.raises(MalformedEvent, match="unknown fields"):
+            parse_trace_object({**obj, "extra": 0})
+
+
+def test_a_regular_file_access_leaves_out_its_defaults():
+    te = TraceEvent(2, FileAccess(1, "/etc/x", parse_access("rw")))
+    obj = event_to_object(te)
+    assert obj == {"seq": 2, "kind": "FileAccess", "pid": 1, "path": "/etc/x",
+                   "requested": "rw"}
+    assert parse_trace_object(obj) == te
 
 
 # every bounded trace integer: a wire object with ``v`` in that field, its
