@@ -101,31 +101,25 @@ def _capacities(args) -> tuple[MapCapacities, int, int]:
     return MapCapacities(**overrides), containers, audit
 
 
-def _load_policies(policy_dir: str):
-    """Parse and cross-validate the policy directory.
+class _Fail(Exception):
+    """``_Fail(code, message)``: ``main`` prints the message to stderr and exits with code."""
 
-    Returns (docs, issues, hard_error); parse failures are reported as
-    issue lines with hard_error set.
-    """
+
+def _load_policies(policy_dir: str):
+    """Parse and cross-validate the policy directory: ``(docs, issues)``."""
     try:
         named_docs = load_policy_dir(policy_dir)
     except OSError as exc:
-        print(f"error: cannot read policy directory: {exc}", file=sys.stderr)
-        return None, [], EXIT_IO
+        raise _Fail(EXIT_IO, f"error: cannot read policy directory: {exc}")
     except PolicyParseError as exc:
-        print(f"error: [ParseError] {exc}", file=sys.stderr)
-        return None, [], EXIT_POLICY
+        raise _Fail(EXIT_POLICY, f"error: [ParseError] {exc}")
     docs = [doc for _, doc in named_docs]
     log.info("loaded %d policies from %s", len(docs), policy_dir)
-    issues = validate_policy_set(docs)
-    return docs, issues, EXIT_OK
+    return docs, validate_policy_set(docs)
 
 
 def cmd_lint(args) -> int:
-    policy_dir = policy_dir_from_env(args.policy_dir)
-    docs, issues, err = _load_policies(policy_dir)
-    if err:
-        return err
+    docs, issues = _load_policies(policy_dir_from_env(args.policy_dir))
     for issue in issues:
         print(str(issue))
     errors = sum(1 for i in issues if i.severity == "error")
@@ -135,15 +129,11 @@ def cmd_lint(args) -> int:
 
 
 def _compile_for_run(args):
-    policy_dir = policy_dir_from_env(args.policy_dir)
-    docs, issues, err = _load_policies(policy_dir)
-    if err:
-        return None, None, None, err
-    errors = [i for i in issues if i.severity == "error"]
+    """Compile the policy directory: ``(store, container capacity, audit capacity)``."""
+    docs, issues = _load_policies(policy_dir_from_env(args.policy_dir))
+    errors = [str(i) for i in issues if i.severity == "error"]
     if errors:
-        for issue in errors:
-            print(str(issue), file=sys.stderr)
-        return None, None, None, EXIT_POLICY
+        raise _Fail(EXIT_POLICY, "\n".join(errors))
     capacities, containers, audit = _capacities(args)
     log.info("capacities: %s, containers=%d, audit=%d",
              ", ".join(f"{cat}={getattr(capacities, cat)}" for cat in MAP_CATEGORIES),
@@ -151,11 +141,10 @@ def _compile_for_run(args):
     try:
         store = compile_policies(docs, capacities)
     except CompileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, None, None, EXIT_POLICY
+        raise _Fail(EXIT_POLICY, f"error: {exc}")
     log.info("store entries: %s",
              ", ".join(f"{cat}={store.count(cat)}" for cat in MAP_CATEGORIES))
-    return store, containers, audit, EXIT_OK
+    return store, containers, audit
 
 
 def _open_audit(path: str):
@@ -182,7 +171,11 @@ def _open_audit(path: str):
     else:
         os.close(os.open(target, os.O_WRONLY))  # the permission check open(path, "w") makes
         mode = stat.S_IMODE(st.st_mode)
-    fd, tmp = tempfile.mkstemp(prefix=".audit-", suffix=".tmp", dir=os.path.dirname(target))
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".audit-", suffix=".tmp", dir=os.path.dirname(target))
+    except OSError as exc:  # name the path given, not the temp file
+        exc.filename = path
+        raise
     try:
         if st is not None:
             own = os.fstat(fd)
@@ -224,28 +217,22 @@ def _audit_records(path: str | None):
 
 
 def cmd_run(args) -> int:
-    store, containers, audit_capacity, err = _compile_for_run(args)
-    if err:
-        return err
+    store, containers, audit_capacity = _compile_for_run(args)
     try:
         trace_fh = open(args.trace, "r", encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Fail(EXIT_IO, f"error: cannot read trace: {exc}")
     state = ContainerState(store, max_containers=containers)
     try:
         with trace_fh, _audit_records(args.audit) as records:
             _, audit = replay(iter_trace(trace_fh), store, state,
                               audit_capacity=audit_capacity, records=records)
     except OSError as exc:  # creating, writing or moving the audit file, or reading the trace
-        print(f"error: I/O error in run: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Fail(EXIT_IO, f"error: I/O error in run: {exc}")
     except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRACE
+        raise _Fail(EXIT_TRACE, f"error: {exc}")
     except UnicodeDecodeError as exc:
-        print(f"error: trace is not valid UTF-8: {exc}", file=sys.stderr)
-        return EXIT_TRACE
+        raise _Fail(EXIT_TRACE, f"error: trace is not valid UTF-8: {exc}")
     log.info("parsed %d events from %s", audit.events, args.trace)
     log.info("replayed %d events: %d audit records kept, %d dropped, %d containers live",
              audit.events, len(audit.records), audit.dropped, len(state.containers))
@@ -260,39 +247,30 @@ def cmd_run(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    store, containers, _, err = _compile_for_run(args)
-    if err:
-        return err
+    store, containers, _ = _compile_for_run(args)
     if store.find_policy(args.policy) is None:
-        print(f"error: no loaded policy named {args.policy!r}", file=sys.stderr)
-        return EXIT_POLICY
+        raise _Fail(EXIT_POLICY, f"error: no loaded policy named {args.policy!r}")
     try:
         obj = json.loads(args.event)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        print(f"error: event is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_TRACE
+        raise _Fail(EXIT_TRACE, f"error: event is not valid JSON: {exc}")
     try:
-        te = parse_trace_object(obj, seq=0)
+        event = parse_trace_object(obj, seq=0).event
     except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRACE
-    event = te.event
+        raise _Fail(EXIT_TRACE, f"error: {exc}")
     if isinstance(event, LifecycleEvent):
-        print("error: explain needs a mediated event, not a lifecycle record", file=sys.stderr)
-        return EXIT_TRACE
+        raise _Fail(EXIT_TRACE, "error: explain needs a mediated event, not a lifecycle record")
 
     # a one-container world: confine the event's pid, then judge the event
     state = ContainerState(store, max_containers=containers)
     try:
         state.confine(event.pid, args.policy)
     except StateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_POLICY
+        raise _Fail(EXIT_POLICY, f"error: {exc}")
     try:
         decision = decide(event, state, store)
     except (TypeError, BpfcontainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRACE
+        raise _Fail(EXIT_TRACE, f"error: {exc}")
     print(decision.explain())
     return EXIT_OK
 
@@ -301,11 +279,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     level = logging.WARNING - min(args.verbose, 2) * 10
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    if args.command == "lint":
-        return cmd_lint(args)
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_explain(args)
+    command = {"lint": cmd_lint, "run": cmd_run, "explain": cmd_explain}[args.command]
+    try:
+        return command(args)
+    except _Fail as exc:
+        code, message = exc.args
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -275,9 +275,10 @@ def decide(event: HookEvent, state: ContainerState,
 
     cid = container.container_id
     if isinstance(event, CommitCreds):
-        if event.escalates:
-            if event.new_priv.uid == 0 and event.old_priv.uid != 0:
-                return Decision(V_KILL, R_ESCALATION_UID, event.old_priv.uid, cid, meta.name)
+        old, new = event.old_priv, event.new_priv
+        if new.uid == 0 and old.uid != 0:
+            return Decision(V_KILL, R_ESCALATION_UID, old.uid, cid, meta.name)
+        if not new.capability_set <= old.capability_set:
             return Decision(V_KILL, R_ESCALATION_CAPS, None, cid, meta.name)
         return Decision(V_ALLOW, R_CREDS_CHANGE, None, cid, meta.name)
 
@@ -306,6 +307,8 @@ def _decide_ipc(event: IpcOp, container: Container, meta: PolicyMeta,
     if not container.tainted and not taint:
         return Decision(V_ALLOW, R_EXEMPT, None, cid, my_name)
     peer_meta = store.meta(peer.policy_id)
+    if peer_meta is None:
+        raise UnknownPolicy(policy_id=peer.policy_id)
     peer_name = peer_meta.name
     taint_detail = None if container.tainted else (T_IPC, peer_name, 0)
     peer_allow, peer_deny, _ = peer_meta.ipc.get(container.policy_id, _NO_RULE)

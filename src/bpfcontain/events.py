@@ -118,13 +118,6 @@ class CommitCreds:
     old_priv: PrivLevel
     new_priv: PrivLevel
 
-    @property
-    def escalates(self) -> bool:
-        """uid transition to root, or any capability the old set lacked."""
-        if self.new_priv.uid == 0 and self.old_priv.uid != 0:
-            return True
-        return not self.new_priv.capability_set <= self.old_priv.capability_set
-
     def summary(self) -> str:
         return f"CommitCreds uid {self.old_priv.uid}->{self.new_priv.uid}"
 

@@ -2,8 +2,8 @@
 
 The analog of the processes and containers maps plus the scheduler
 fork/exit probes and the confine call: containers are created by confine,
-grow and shrink with fork/exit, and disappear when their refcount hits
-zero.  Mutations are serialized per engine instance (single writer).
+grow and shrink with fork/exit, and disappear when their last pid exits.
+Mutations are serialized per engine instance (single writer).
 """
 
 from __future__ import annotations
@@ -23,18 +23,18 @@ from .errors import (
 DEFAULT_CONTAINER_CAPACITY = 1024
 
 
-# refcount is tracked separately from pid_set on purpose: the modeled system
-# keeps a counter in one map and memberships in another, and the invariant
-# refcount == len(pid_set) is checked by tests rather than true by construction.
 @dataclass
 class Container:
     container_id: int
     policy_id: int
     tainted: bool
-    refcount: int = 0
     mount_ns: int = 0
     ipc_ns: int = 0
     pid_set: set[int] = field(default_factory=set)
+
+    @property
+    def refcount(self) -> int:
+        return len(self.pid_set)
 
 
 class ContainerState:
@@ -78,7 +78,6 @@ class ContainerState:
             container_id=next(self._ids),
             policy_id=policy,
             tainted=meta.tainted_from_start,
-            refcount=1,
             mount_ns=mount_ns,
             ipc_ns=ipc_ns,
             pid_set={pid},
@@ -96,7 +95,6 @@ class ContainerState:
             return None
         container = self.containers[cid]
         container.pid_set.add(child_pid)
-        container.refcount += 1
         self.processes[child_pid] = cid
         return container
 
@@ -107,8 +105,7 @@ class ContainerState:
             return None
         container = self.containers[cid]
         container.pid_set.discard(pid)
-        container.refcount -= 1
-        if container.refcount <= 0:
+        if not container.pid_set:
             del self.containers[cid]
             return container
         return None

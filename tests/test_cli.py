@@ -320,6 +320,74 @@ def test_explain_rejects_lifecycle_events(policy_dir):
                    "--policy", "hello_minimal", "--event", event) == 3
 
 
+# every failure the CLI can reach: (exit code, stderr prefix, argv), where
+# {good} in argv is the example policy directory and {tmp} holds the files
+# _write_failure_inputs writes
+_FAILURES = {
+    "lint-missing-dir": (2, "error: cannot read policy directory: ",
+                         ["--policy-dir", "{tmp}/nope", "lint"]),
+    "parse-error": (1, "error: [ParseError] 0.yml: bad access flag string: 'rq'",
+                    ["--policy-dir", "{tmp}/bad-flags", "lint"]),
+    "run-duplicate-names": (1, "error: [DuplicateName] x: ",
+                            ["--policy-dir", "{tmp}/dup", "run", "--trace", "{tmp}/ok.jsonl"]),
+    "capacity-overflow": (1, "error: capacity exceeded for map 'file' (limit 1)",
+                          ["--policy-dir", "{tmp}/two-files", "--capacity", "file=1",
+                           "run", "--trace", "{tmp}/ok.jsonl"]),
+    "missing-trace": (2, "error: cannot read trace: ",
+                      ["--policy-dir", "{good}", "run", "--trace", "{tmp}/nope.jsonl"]),
+    "malformed-event": (3, "error: malformed trace event at seq 2: ",
+                        ["--policy-dir", "{good}", "run", "--trace", "{tmp}/malformed.jsonl"]),
+    "non-utf8-trace": (3, "error: trace is not valid UTF-8: ",
+                       ["--policy-dir", "{good}", "run", "--trace", "{tmp}/non-utf8.jsonl"]),
+    "missing-audit-dir": (2, "error: I/O error in run: ",
+                          ["--policy-dir", "{good}", "run", "--trace", "{tmp}/ok.jsonl",
+                           "--audit", "{tmp}/missing/a.jsonl"]),
+    "explain-unknown-policy": (1, "error: no loaded policy named 'ghost'",
+                               ["--policy-dir", "{good}", "explain", "--policy", "ghost",
+                                "--event", '{"kind": "SwitchNamespaces", "pid": 1}']),
+    "explain-invalid-json": (3, "error: event is not valid JSON: ",
+                             ["--policy-dir", "{good}", "explain", "--policy", "hello_minimal",
+                              "--event", "{not json"]),
+    "explain-malformed-event": (3, "error: malformed trace event at seq 0: ",
+                                ["--policy-dir", "{good}", "explain", "--policy", "hello_minimal",
+                                 "--event", '{"kind": "FileAccess", "pid": 1}']),
+    "explain-lifecycle-event": (3, "error: explain needs a mediated event, not a lifecycle record",
+                                ["--policy-dir", "{good}", "explain", "--policy", "hello_minimal",
+                                 "--event", '{"kind": "fork", "parent": 1, "child": 2}']),
+}
+
+
+def _write_failure_inputs(tmp):
+    for name, texts in {
+        "bad-flags": ["name: p\nentry: /bin/p\nallow:\n  - tty: rq\n"],
+        "dup": ["name: x\nentry: /bin/a\n", "name: x\nentry: /bin/b\n"],
+        "two-files": ["name: p\nentry: /bin/p\nallow:\n  - file: /a r\n  - file: /b r\n"],
+    }.items():
+        (tmp / name).mkdir()
+        for i, text in enumerate(texts):
+            (tmp / name / f"{i}.yml").write_text(text)
+    head = (b'{"format": 1}\n'
+            b'{"seq": 1, "kind": "confine", "pid": 1, "policy_name": "hello_minimal"}\n')
+    (tmp / "ok.jsonl").write_bytes(head)
+    (tmp / "malformed.jsonl").write_bytes(
+        head + b'{"seq": 2, "kind": "exit", "pid": 1, "oops": 1}\n')
+    (tmp / "non-utf8.jsonl").write_bytes(head + b'{"seq": 2, "path": "\xff"}\n')
+
+
+@pytest.mark.parametrize("case", _FAILURES)
+def test_each_failure_prints_one_error_line_and_nothing_else(policy_dir, tmp_path, capsys,
+                                                              case):
+    code, prefix, argv = _FAILURES[case]
+    tmp = tmp_path / "inputs"
+    tmp.mkdir()
+    _write_failure_inputs(tmp)
+    argv = [a.replace("{good}", str(policy_dir)).replace("{tmp}", str(tmp)) for a in argv]
+    assert run_cli(*argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1, err
+
+
 def test_bad_capacity_flag_is_a_usage_error(policy_dir, capsys):
     # not a number; non-ASCII digits, which str.isdigit() accepts; more
     # digits than int() converts

@@ -205,6 +205,17 @@ def test_policy_missing_from_the_store_is_named_by_id():
     assert exc.value.policy_id == pid and exc.value.name is None
 
 
+def test_ipc_peer_missing_from_the_store_is_named_by_id():
+    a = "name: a\nentry: /bin/a\nallow:\n  - ipc: b\ntaint:\n  - ipc: b\n"
+    _, state = _world(a, IPC_B)
+    state.confine(1, "a")
+    state.confine(2, "b")
+    only_a = compile_policies([parse_policy(a)])
+    with pytest.raises(UnknownPolicy) as exc:
+        decide(IpcOp(1, 2, IpcMechanism.SIGNAL), state, only_a)
+    assert exc.value.policy_id == policy_id("b") and exc.value.name is None
+
+
 # --- implicit filesystem policy ------------------------------------------------
 
 def test_own_procfs_entry_allowed():

@@ -196,8 +196,11 @@ def test_run_unwritable_audit_path_exits_2_before_the_trace_is_read(policy_dir, 
                                                                      capsys):
     trace = tmp_path / "t.jsonl"
     trace.write_bytes(_trace_bytes(_GOOD, _BAD_LAST_LINES["malformed"]))
-    assert _run_audit(policy_dir, trace, tmp_path / "missing" / "audit.jsonl") == 2
-    assert capsys.readouterr().err.startswith("error: I/O error in run: ")
+    audit = tmp_path / "missing" / "audit.jsonl"
+    assert _run_audit(policy_dir, trace, audit) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: I/O error in run: ")
+    assert repr(str(audit)) in err and ".audit-" not in err
     assert not (tmp_path / "missing").exists()
 
 

@@ -367,7 +367,6 @@ def test_commit_creds_wire_format():
     [te] = parse_trace(lines)
     assert te.event.old_priv == PrivLevel(1000, frozenset())
     assert te.event.new_priv == PrivLevel(0, frozenset())
-    assert te.event.escalates
 
 
 def test_event_serialization_is_stable():
