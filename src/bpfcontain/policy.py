@@ -14,6 +14,17 @@ from dataclasses import dataclass, field
 from enum import IntEnum, IntFlag
 
 import yaml
+from yaml.events import (
+    AliasEvent,
+    DocumentEndEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
+from yaml.nodes import ScalarNode
 
 from .errors import (
     BadAccessFlags,
@@ -30,15 +41,19 @@ from .errors import (
 try:
     from yaml.cyaml import CParser
 except ImportError:  # PyYAML built without libyaml
+    CParser = None
     _Loader = yaml.SafeLoader
 else:
     class _Loader(CParser, yaml.composer.Composer,
                   yaml.constructor.SafeConstructor, yaml.resolver.Resolver):
         """SafeLoader with libyaml's scanner and parser.
 
-        The nodes are composed in Python, not by CParser: its composer
-        recurses on the C stack, so deep nesting would crash the
-        interpreter instead of raising RecursionError.
+        It loads the texts `_load_events` defers: tags, anchors, aliases,
+        merge keys, non-string scalars and keys, deep nesting, a second
+        document and anything libyaml refuses.  The nodes are composed in
+        Python, not by CParser: its composer recurses on the C stack, so
+        deep nesting would crash the interpreter instead of raising
+        RecursionError.
         """
 
         get_single_node = yaml.composer.Composer.get_single_node
@@ -365,11 +380,85 @@ def _check_utf8(doc):
                 stack.extend(node.values())
 
 
+class _Defer(Exception):
+    """`_load_events` met a text that only `_Loader` builds."""
+
+
+# a policy nests 4 deep; past this `_Loader` runs, and keeps its RecursionError
+_MAX_DEPTH = 64
+_RESOLVER = yaml.resolver.Resolver()
+
+
+def _load_events(text: str):
+    """Build the document in one pass over libyaml's events, as `_Loader`
+    would: dicts, lists and str, a repeated key keeping its last value at
+    its first position.
+
+    Raise _Defer on anything else: a tag, an anchor or alias, a key that
+    is not a string, a plain scalar that resolves to another type (the
+    ``<<`` merge key included), nesting past _MAX_DEPTH, a second document,
+    or a YAMLError.  No string needs a UTF-8 check: CParser encodes the
+    text first, and libyaml refuses a ``\\u`` escape naming a surrogate.
+    """
+    if CParser is None:
+        raise _Defer
+    implicit = _RESOLVER.yaml_implicit_resolvers
+    try:
+        get = CParser(text).get_event
+        get()  # StreamStartEvent
+        if get().__class__ is StreamEndEvent:
+            return None  # no document, only comments or nothing
+        cur = root = []
+        stack = []
+        key = None  # in a mapping, the key whose value comes next
+        while True:
+            event = get()
+            cls = event.__class__
+            if cls is MappingEndEvent or cls is SequenceEndEvent:
+                cur = stack.pop()
+                continue
+            if cls is DocumentEndEvent:
+                break
+            if cls is AliasEvent or event.anchor is not None or event.tag is not None:
+                raise _Defer
+            if cls is ScalarEvent:
+                value = event.value
+                # only a plain scalar whose first character starts some
+                # implicit type (or an empty one) can resolve to a non-str
+                if event.implicit[0] and value[:1] in implicit and \
+                        _RESOLVER.resolve(ScalarNode, value, event.implicit) \
+                        != _RESOLVER.DEFAULT_SCALAR_TAG:
+                    raise _Defer
+                if key is None and cur.__class__ is dict:
+                    key = value
+                    continue
+            elif (key is None and cur.__class__ is dict) or len(stack) == _MAX_DEPTH:
+                raise _Defer  # a collection as a key, or too deep
+            else:
+                value = {} if cls is MappingStartEvent else []
+            if key is None:
+                cur.append(value)
+            else:
+                cur[key] = value
+                key = None
+            if cls is not ScalarEvent:
+                stack.append(cur)
+                cur = value
+        if get().__class__ is not StreamEndEvent:
+            raise _Defer  # a second document
+    except yaml.YAMLError:
+        raise _Defer from None
+    return root[0]
+
+
 def parse_policy(text: str) -> PolicyDocument:
     """Parse one YAML policy document into a normalized PolicyDocument."""
     try:
-        doc = yaml.load(text, Loader=_Loader)
-        _check_utf8(doc)
+        try:
+            doc = _load_events(text)
+        except _Defer:
+            doc = yaml.load(text, Loader=_Loader)
+            _check_utf8(doc)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:  # long int, surrogate, depth
         raise MalformedYaml(str(exc)) from exc
     except (LookupError, AttributeError) as exc:

@@ -1,11 +1,18 @@
-"""The policy loader: libyaml's parser under PyYAML's Python composer.
+"""The policy loader: one loop over libyaml's events, and ``_Loader`` for
+the texts it defers.
 
-``policy._Loader`` must build the same objects as ``yaml.SafeLoader`` and
-refuse what it refuses, and nesting depth must stay a parse error (exit 1)
-rather than a crash of the interpreter.
+``policy._load_events`` builds a policy of dicts, lists and strings
+straight from libyaml's event stream and defers anything else to
+``policy._Loader``, libyaml's parser under PyYAML's Python composer.
+``parse_policy`` must give the same document or error either way, the
+benchmark's and the tests' policies must take the loop, and ``_Loader``
+must build the same objects as ``yaml.SafeLoader`` and refuse what it
+refuses.  Nesting depth stays a parse error (exit 1) rather than a crash
+of the interpreter.
 """
 
 import ast
+import collections
 import os
 import subprocess
 import sys
@@ -19,6 +26,7 @@ from hypothesis import strategies as st
 from bpfcontain import policy
 from bpfcontain.cli import main
 from bpfcontain.errors import MalformedRule, MalformedYaml
+from bpfcontain.policy import AccessFlags, FileRule
 
 from corpus import workloads
 
@@ -295,3 +303,287 @@ def test_deep_nesting_exits_1(tmp_path, text, fallback):
     proc = _python(_CLI, "--policy-dir", str(tmp_path), "lint", fallback=fallback)
     assert proc.returncode == 1, proc.stderr[-500:]
     assert proc.stderr.startswith(b"error: [ParseError] deep.yml: ")
+
+
+# --- the event loop and _Loader agree ----------------------------------------
+
+def _deferred(text):
+    raise policy._Defer
+
+
+def _outcome(text, load_events):
+    """parse_policy's document or error, with ``load_events`` as its loop."""
+    saved, policy._load_events = policy._load_events, load_events
+    try:
+        return "doc", policy.parse_policy(text)
+    except MalformedYaml:
+        return "error", MalformedYaml
+    except Exception as exc:
+        return "error", (type(exc), str(exc))
+    finally:
+        policy._load_events = saved
+
+
+def _assert_paths_agree(text):
+    assert _outcome(text, policy._load_events) == _outcome(text, _deferred)
+
+
+def _quoted(word, style):
+    if style == "'":
+        return "'" + word.replace("'", "''") + "'"
+    return '"' + word.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+_WORDS = ["p", "web", "/bin/sh", "/etc/passwd r", "/srv/a rw", "/a/../b", "rw", "r",
+          "q", "tty", "random x", "client send", "CAP_KILL", "kill", "allow", "deny",
+          "svc001", "file", "a b c", "\u00e9t\u00e9"]
+# plain, each resolves to something other than a string
+_IMPLICITS = ["123", "0x1F", "-7", "1_000", "1.5", ".inf", "true", "yes", "No", "off",
+              "null", "~", "", "2001-12-14", "2001-12-14 21:59:43.10 -5", "=", "<<"]
+_ESCAPES = ['"a\\tb"', '"\\u00e9"', '"\\U0001F600"', '"\\x41"']
+_SURROGATES = ['"\\ud800"', '"x\\udc00"']
+_SAFE_SCALARS = st.one_of(
+    st.sampled_from(_WORDS),
+    st.builds(_quoted, st.sampled_from(_WORDS + _IMPLICITS), st.sampled_from("'\"")),
+    st.sampled_from(_ESCAPES),
+)
+_ANY_SCALARS = st.one_of(
+    _SAFE_SCALARS,
+    st.sampled_from(_IMPLICITS + _SURROGATES + ["*a", "*r"]),
+    st.text(":-#{}[]&*!|>'\"%@, ab/\n", max_size=6),
+)
+_PROPS = st.sampled_from([""] * 12 + ["&a ", "&r ", "!!str ", "!!int ", "! ", "!local ",
+                                     "&a !!str "])
+_RULE_KINDS = ["file", "subdir", "fs", "device", "tty", "network", "ipc", "cap"]
+
+
+def _nodes(props, scalars):
+    """Nodes ``(kind, props, flow, body)``: a scalar's body is its token, a
+    block scalar's its ``(indicator, text)``, a collection's its items."""
+    leaf = st.one_of(
+        st.builds(lambda p, s: ("scalar", p, True, s), props, scalars),
+        st.builds(lambda p, i, t: ("block", p, False, (i, t)), props, st.sampled_from("|>"),
+                  st.sampled_from(_WORDS[:-1] + ["line one\nline two", "123"])),
+    )
+    keys = st.one_of(st.sampled_from(["name", "allow", "x"] + _RULE_KINDS), scalars)
+    return st.recursive(leaf, lambda children: st.one_of(
+        st.builds(lambda p, f, items: ("seq", p, f, items),
+                  props, st.booleans(), st.lists(children, max_size=3)),
+        st.builds(lambda p, f, items: ("map", p, f, items),
+                  props, st.booleans(), st.lists(st.tuples(keys, children), max_size=3)),
+    ), max_leaves=6)
+
+
+# rules and top-level pairs that parse_policy accepts
+_GOOD_RULES = [("file", "/etc/passwd r"), ("subdir", "/srv/a rw"), ("fs", "/ rwax"),
+               ("filesystem", "/proc"), ("device", "random r"), ("tty", "rw"), ("tty", "r"),
+               ("network", "client send"), ("net", "server"), ("ipc", "web"),
+               ("cap", "CAP_KILL"), ("capability", "kill"), ("ipc", "12")]
+_GOOD_TOP = [("name", "web"), ("name", "db"), ("name", "123"), ("entry", "/usr/bin/x --flag"),
+             ("entry", "/bin/sh"), ("default", "allow"), ("default", "deny")]
+
+
+def _good(pairs, props):
+    """One of ``pairs``, its value plain, single- or double-quoted; a value
+    that reads as a number is a string only when quoted."""
+    return st.builds(
+        lambda pair, p, style: (pair[0], ("scalar", p, True,
+                                          pair[1] if style == "" else _quoted(pair[1], style))),
+        st.sampled_from(pairs), props, st.sampled_from(["", "", "'", '"']))
+
+
+def _policies(props, scalars, good_only):
+    """Policy-shaped mappings; their keys may repeat."""
+    rule = st.builds(lambda flow, pair: ("map", "", flow, [pair]), st.booleans(),
+                     _good(_GOOD_RULES, props))
+    pair = st.one_of(_good(_GOOD_TOP, props), st.tuples(
+        st.sampled_from(["allow", "deny", "taint"]),
+        st.builds(lambda flow, items: ("seq", "", flow, items), st.booleans(),
+                  st.lists(rule, max_size=4))))
+    if not good_only:
+        nodes = _nodes(props, scalars)
+        value = st.one_of(st.builds(lambda p, s: ("scalar", p, True, s), props, scalars), nodes)
+        rule = st.builds(lambda p, f, items: ("map", p, f, items), props, st.booleans(),
+                         st.lists(st.tuples(st.sampled_from(_RULE_KINDS), value),
+                                  min_size=1, max_size=2))
+        pair = st.one_of(
+            pair,
+            st.tuples(st.sampled_from(["allow", "deny", "taint"]),
+                      st.builds(lambda p, f, items: ("seq", p, f, items), props,
+                                st.booleans(), st.lists(rule, max_size=3))),
+            st.tuples(st.sampled_from(["name", "entry", "default"]), value),
+            st.tuples(st.one_of(st.sampled_from(["<<", "x"]), scalars), nodes),
+        )
+    head = [("name", ("scalar", "", True, "p")), ("entry", ("scalar", "", True, "/bin/sh"))]
+    return st.builds(lambda p, f, items: ("map", p, f, head + items), props, st.booleans(),
+                     st.lists(pair, max_size=5))
+
+
+def _flow(node):
+    kind, props, _, body = node
+    if kind == "map":
+        return props + "{" + ", ".join(f"{key}: {_flow(value)}" for key, value in body) + "}"
+    if kind == "seq":
+        return props + "[" + ", ".join(map(_flow, body)) + "]"
+    if kind == "block":
+        return props + _quoted(body[1], '"')
+    return props + body
+
+
+def _block(node, indent):
+    """The node as lines of their own at ``indent``."""
+    kind, props, flow, body = node
+    pad = " " * indent
+    if kind == "map" and body and not flow:
+        lines = "".join(f"{pad}{key}:{_after(value, indent)}" for key, value in body)
+    elif kind == "seq" and body and not flow:
+        lines = "".join(f"{pad}-{_after(value, indent)}" for value in body)
+    else:
+        return pad + _flow(node) + "\n"
+    return (pad + props + "\n" if props else "") + lines
+
+
+def _after(node, indent):
+    """What follows ``key:`` or ``-`` at ``indent``."""
+    kind, props, flow, body = node
+    if kind in ("map", "seq") and body and not flow:
+        return (" " + props if props else "") + "\n" + _block((kind, "", flow, body), indent + 2)
+    if kind == "block":
+        pad = " " * (indent + 2)
+        return f" {props}{body[0]}\n" + "".join(pad + line + "\n" for line in body[1].split("\n"))
+    return " " + _flow(node) + "\n"
+
+
+_FLAVOURS = (
+    (st.just(""), _SAFE_SCALARS, True),    # policies, the loop's own texts
+    (st.just(""), _SAFE_SCALARS, False),
+    (st.just(""), _ANY_SCALARS, False),    # implicit types, merge keys, aliases, errors
+    (_PROPS, _ANY_SCALARS, False),         # anchors and tags too
+)
+_DEEP = [_HEADER + "allow: " + "[" * n + "]" * n + "\n"
+         for n in range(policy._MAX_DEPTH - 3, policy._MAX_DEPTH + 2)] + \
+        ["- " * n + "x\n" for n in range(policy._MAX_DEPTH - 2, policy._MAX_DEPTH + 3)]
+_EDGES = ["", "# only a comment\n", "---\n", "...\n", _HEADER + "allow: &r [*r]\n",
+          _HEADER + "<<: {allow: [tty: rw]}\n", "name: ! 123\nentry: /bin/sh\n",
+          'name: "p\\ud800"\nentry: /bin/sh\n'] + _DEEP
+_YAML_TEXTS = st.one_of(
+    st.builds(
+        lambda before, root, block, after: before + (
+            _block(root, 0) if block else _flow(root) + "\n") + after,
+        st.sampled_from(["", "---\n", "# c\n", "%YAML 1.1\n---\n", "--- "]),
+        st.one_of(*(st.one_of(_policies(p, s, good), _nodes(p, s))
+                    for p, s, good in _FLAVOURS)),
+        st.booleans(),
+        st.sampled_from(["", "", "...\n", "---\n", "---\nname: q\n", "# end\n"])),
+    st.sampled_from(_EDGES),
+)
+
+
+@requires_libyaml
+@settings(max_examples=300, deadline=None)
+@given(text=_YAML_TEXTS)
+def test_the_event_loop_agrees_with_the_loader(text):
+    _assert_paths_agree(text)
+
+
+@pytest.mark.slow
+@requires_libyaml
+@settings(max_examples=5000, deadline=None)
+@given(text=_YAML_TEXTS)
+def test_the_event_loop_agrees_with_the_loader_at_length(text):
+    _assert_paths_agree(text)
+
+
+@requires_libyaml
+@pytest.mark.parametrize("text", _EDGES)
+def test_the_edges_load_alike(text):
+    _assert_paths_agree(text)
+
+
+def _defers(text):
+    try:
+        policy._load_events(text)
+    except policy._Defer:
+        return True
+    return False
+
+
+@requires_libyaml
+def test_the_event_loop_defers_past_its_depth_bound():
+    bound = policy._MAX_DEPTH
+    assert {n: _defers("- " * n + "x\n") for n in (bound - 1, bound, bound + 1)} == \
+        {bound - 1: False, bound: False, bound + 1: True}
+
+
+# --- what takes the loop -----------------------------------------------------
+
+@requires_libyaml
+@pytest.mark.parametrize("name", workloads.GENERATORS)
+def test_workload_policies_take_the_event_loop(name):
+    for _, text in workloads.build(name, workloads.DEFAULT_SEED).policies:
+        policy._load_events(text)  # raises _Defer if it would not
+
+
+def _plain(doc):
+    if isinstance(doc, dict):
+        return all(isinstance(k, str) and _plain(v) for k, v in doc.items())
+    if isinstance(doc, list):
+        return all(map(_plain, doc))
+    return isinstance(doc, str)
+
+
+@requires_libyaml
+@pytest.mark.parametrize("text", TEST_POLICY_TEXTS)
+def test_test_policies_take_the_event_loop(text):
+    # some harvested literals are fragments or hold an int, bool or null on
+    # purpose; those, and only those, may defer
+    if _defers(text):
+        kind, doc = _load(policy._Loader, text)
+        assert kind == "error" or not _plain(doc), doc
+
+
+# the busiest load, lifecycle_churn's 300 policies, in Python-level calls
+# per policy: 701 when every policy went through _Loader
+CALLS_PER_POLICY = 200
+
+
+@requires_libyaml
+def test_loading_stays_within_the_per_policy_call_budget(tmp_path):
+    workload = workloads.build("lifecycle_churn", workloads.DEFAULT_SEED)
+    workload.write_policies(str(tmp_path))
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        docs = policy.load_policy_dir(str(tmp_path))
+    finally:
+        sys.setprofile(None)
+    assert len(docs) == len(workload.policies) == 300
+    per_policy = sum(calls.values()) / len(docs)
+    most = ", ".join(
+        f"{code.co_name} ({os.path.basename(code.co_filename)}:{code.co_firstlineno})"
+        f" {n / len(docs):.1f}" for code, n in calls.most_common(5))
+    assert per_policy <= CALLS_PER_POLICY, (
+        f"{per_policy:.1f} Python calls per policy, budget {CALLS_PER_POLICY}; most: {most}")
+
+
+# --- repeated keys: the last value wins, at the first position ---------------
+
+REPEATED_KEYS = {
+    "in-a-rule": (_HEADER + "allow:\n  - file: /a r\n    file: /b r\n",
+                  [FileRule("/b", AccessFlags.READ)]),
+    "top-level": (_HEADER + "allow:\n  - tty: rw\nallow:\n  - file: /b r\n",
+                  [FileRule("/b", AccessFlags.READ)]),
+}
+
+
+@pytest.mark.parametrize("text, allow", REPEATED_KEYS.values(), ids=REPEATED_KEYS.keys())
+def test_a_repeated_key_keeps_its_last_value(text, allow):
+    for load_events in (policy._load_events, _deferred):
+        kind, doc = _outcome(text, load_events)
+        assert kind == "doc", doc
+        assert doc.allow == allow
