@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import os
 import stat
 import sys
@@ -41,8 +40,6 @@ from .trace import (
     parse_trace_object,
     replay,
 )
-
-log = logging.getLogger("bpfcontain")
 
 EXIT_OK = 0
 EXIT_POLICY = 1
@@ -101,12 +98,19 @@ def _capacities(args) -> tuple[MapCapacities, int, int]:
     return MapCapacities(**overrides), containers, audit
 
 
+def _info(args, message: str):
+    """With ``-v`` (or more), write ``message`` to stderr as a progress line."""
+    if args.verbose:
+        print(f"INFO bpfcontain: {message}", file=sys.stderr)
+
+
 class _Fail(Exception):
     """``_Fail(code, message)``: ``main`` prints the message to stderr and exits with code."""
 
 
-def _load_policies(policy_dir: str):
+def _load_policies(args):
     """Parse and cross-validate the policy directory: ``(docs, issues)``."""
+    policy_dir = policy_dir_from_env(args.policy_dir)
     try:
         named_docs = load_policy_dir(policy_dir)
     except OSError as exc:
@@ -114,12 +118,12 @@ def _load_policies(policy_dir: str):
     except PolicyParseError as exc:
         raise _Fail(EXIT_POLICY, f"error: [ParseError] {exc}")
     docs = [doc for _, doc in named_docs]
-    log.info("loaded %d policies from %s", len(docs), policy_dir)
+    _info(args, f"loaded {len(docs)} policies from {policy_dir}")
     return docs, validate_policy_set(docs)
 
 
 def cmd_lint(args) -> int:
-    docs, issues = _load_policies(policy_dir_from_env(args.policy_dir))
+    docs, issues = _load_policies(args)
     for issue in issues:
         print(str(issue))
     errors = sum(1 for i in issues if i.severity == "error")
@@ -130,20 +134,19 @@ def cmd_lint(args) -> int:
 
 def _compile_for_run(args):
     """Compile the policy directory: ``(store, container capacity, audit capacity)``."""
-    docs, issues = _load_policies(policy_dir_from_env(args.policy_dir))
+    docs, issues = _load_policies(args)
     errors = [str(i) for i in issues if i.severity == "error"]
     if errors:
         raise _Fail(EXIT_POLICY, "\n".join(errors))
     capacities, containers, audit = _capacities(args)
-    log.info("capacities: %s, containers=%d, audit=%d",
-             ", ".join(f"{cat}={getattr(capacities, cat)}" for cat in MAP_CATEGORIES),
-             containers, audit)
+    sizes = ", ".join(f"{cat}={getattr(capacities, cat)}" for cat in MAP_CATEGORIES)
+    _info(args, f"capacities: {sizes}, containers={containers}, audit={audit}")
     try:
         store = compile_policies(docs, capacities)
     except CompileError as exc:
         raise _Fail(EXIT_POLICY, f"error: {exc}")
-    log.info("store entries: %s",
-             ", ".join(f"{cat}={store.count(cat)}" for cat in MAP_CATEGORIES))
+    entries = ", ".join(f"{cat}={store.count(cat)}" for cat in MAP_CATEGORIES)
+    _info(args, f"store entries: {entries}")
     return store, containers, audit
 
 
@@ -233,9 +236,9 @@ def cmd_run(args) -> int:
         raise _Fail(EXIT_TRACE, f"error: {exc}")
     except UnicodeDecodeError as exc:
         raise _Fail(EXIT_TRACE, f"error: trace is not valid UTF-8: {exc}")
-    log.info("parsed %d events from %s", audit.events, args.trace)
-    log.info("replayed %d events: %d audit records kept, %d dropped, %d containers live",
-             audit.events, len(audit.records), audit.dropped, len(state.containers))
+    _info(args, f"parsed {audit.events} events from {args.trace}")
+    _info(args, f"replayed {audit.events} events: {len(audit.records)} audit records kept,"
+                f" {audit.dropped} dropped, {len(state.containers)} containers live")
 
     s = audit.summary()
     line = (f"events={s['events']} allows={s['allows']} denies={s['denies']}"
@@ -277,8 +280,6 @@ def cmd_explain(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    level = logging.WARNING - min(args.verbose, 2) * 10
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     command = {"lint": cmd_lint, "run": cmd_run, "explain": cmd_explain}[args.command]
     try:
         return command(args)

@@ -7,7 +7,6 @@ sealed read-only for the lifetime of the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 from .errors import CapacityExceeded, EmptyName, PolicyIdCollision, StoreSealed
@@ -18,6 +17,7 @@ from .policy import (
     DeviceRule,
     FileRule,
     FilesystemRule,
+    FrozenValue,
     IpcRule,
     NetworkRule,
     PolicyDocument,
@@ -48,25 +48,22 @@ MAP_CATEGORIES = (
 )
 
 
-@dataclass(frozen=True)
-class MapCapacities:
-    file: int = DEFAULT_MAP_CAPACITY
-    subdir: int = DEFAULT_MAP_CAPACITY
-    filesystem: int = DEFAULT_MAP_CAPACITY
-    device: int = DEFAULT_MAP_CAPACITY
-    network: int = DEFAULT_MAP_CAPACITY
-    ipc: int = DEFAULT_MAP_CAPACITY
-    capability: int = DEFAULT_MAP_CAPACITY
-    meta: int = DEFAULT_MAP_CAPACITY
+class MapCapacities(FrozenValue):
+    """The capacity of each category's map, one field per MAP_CATEGORIES name."""
 
-    def __post_init__(self):
+    __slots__ = MAP_CATEGORIES
+
+    def __init__(self, file=DEFAULT_MAP_CAPACITY, subdir=DEFAULT_MAP_CAPACITY,
+                 filesystem=DEFAULT_MAP_CAPACITY, device=DEFAULT_MAP_CAPACITY,
+                 network=DEFAULT_MAP_CAPACITY, ipc=DEFAULT_MAP_CAPACITY,
+                 capability=DEFAULT_MAP_CAPACITY, meta=DEFAULT_MAP_CAPACITY):
+        self._init(file, subdir, filesystem, device, network, ipc, capability, meta)
         for name in MAP_CATEGORIES:
             if getattr(self, name) <= 0:
                 raise ValueError(f"capacity for {name!r} must be positive")
 
 
-@dataclass(frozen=True)
-class PolicyMeta:
+class PolicyMeta(FrozenValue):
     """A policy's header and, once its store is sealed, its tables.
 
     ``seal()`` fills the tables: ``files`` is ``(file_t, subdir_t, fs_t,
@@ -81,14 +78,14 @@ class PolicyMeta:
     edit to one changes every later decision.  Do not mutate them.
     """
 
-    name: str
-    default_allow: bool
-    tainted_from_start: bool
-    entry: str
-    files: tuple | None = None
-    network: tuple[int, int, int] | None = None
-    ipc: dict | None = None
-    capability: dict | None = None
+    __slots__ = ("name", "default_allow", "tainted_from_start", "entry",
+                 "files", "network", "ipc", "capability")
+
+    def __init__(self, name: str, default_allow: bool, tainted_from_start: bool, entry: str,
+                 files: tuple | None = None, network: tuple[int, int, int] | None = None,
+                 ipc: dict | None = None, capability: dict | None = None):
+        self._init(name, default_allow, tainted_from_start, entry,
+                   files, network, ipc, capability)
 
 
 # the categories keyed below the policy: policy_id -> key -> (allow, deny, taint)
@@ -174,8 +171,8 @@ class CompiledPolicyStore:
             subdir_t, fs_t = maps["subdir"].get(pid), maps["filesystem"].get(pid)
             top = max((key.count("/") if key != "/" else 0
                        for table in (subdir_t, fs_t) if table for key in table), default=0)
-            self._meta[pid] = replace(
-                meta,
+            self._meta[pid] = PolicyMeta(
+                meta.name, meta.default_allow, meta.tainted_from_start, meta.entry,
                 files=(maps["file"].get(pid), subdir_t, fs_t, maps["device"].get(pid), top),
                 network=self._network.get(pid, (0, 0, 0)),
                 ipc=maps["ipc"].get(pid, {}),

@@ -1,17 +1,18 @@
-"""Mediated kernel events, one dataclass per hook family.
+"""Mediated kernel events, one class per hook family.
 
 These are the inputs to the decision pipeline; lifecycle records (confine,
 fork, exit) live in the trace layer and mutate container state instead.
-Both are slotted dataclasses, cheap to build: equal only to an event of the
+Both are ``policy.Value`` records: their ``__slots__`` are their fields and
+their wire schema, in order, and an ``__init__`` sets those slots and nothing
+else, so they are cheap to build.  An event is equal only to an event of the
 same type with the same fields, mutable and unhashable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
-from .policy import ACCESS_STRINGS
+from .policy import ACCESS_STRINGS, Value
 
 
 class FsKind(IntEnum):
@@ -56,84 +57,101 @@ class HardeningKind(IntEnum):
     UNLINK_PINNED_OBJECT = 5
 
 
-@dataclass(slots=True)
-class FileAccess:
+class FileAccess(Value):
     """One file access; ``requested`` is a mask of ``AccessFlags`` bits.
 
     The trace parser gives it as a plain int; an ``AccessFlags`` member
     judges and renders the same.
     """
 
-    pid: int
-    path: str
-    requested: int
-    fs_kind: FsKind = FsKind.REGULAR
-    owner_mount_ns: int | None = None
-    proc_subject_pid: int | None = None
+    __slots__ = ("pid", "path", "requested", "fs_kind", "owner_mount_ns", "proc_subject_pid")
+
+    def __init__(self, pid: int, path: str, requested: int, fs_kind: FsKind = FsKind.REGULAR,
+                 owner_mount_ns: int | None = None, proc_subject_pid: int | None = None):
+        self.pid = pid
+        self.path = path
+        self.requested = requested
+        self.fs_kind = fs_kind
+        self.owner_mount_ns = owner_mount_ns
+        self.proc_subject_pid = proc_subject_pid
 
     def summary(self) -> str:
         return f"FileAccess {self.path} {ACCESS_STRINGS[self.requested & 15]}"
 
 
-@dataclass(slots=True)
-class SocketOp:
-    pid: int
-    family: SocketFamily
-    op: SocketOpKind
+class SocketOp(Value):
+    __slots__ = ("pid", "family", "op")
+
+    def __init__(self, pid: int, family: SocketFamily, op: SocketOpKind):
+        self.pid = pid
+        self.family = family
+        self.op = op
 
     def summary(self) -> str:
         return f"SocketOp {_FAMILY_NAMES[self.family]} {_SOCKOP_NAMES[self.op]}"
 
 
-@dataclass(slots=True)
-class IpcOp:
-    pid: int
-    peer_pid: int
-    mechanism: IpcMechanism
+class IpcOp(Value):
+    __slots__ = ("pid", "peer_pid", "mechanism")
+
+    def __init__(self, pid: int, peer_pid: int, mechanism: IpcMechanism):
+        self.pid = pid
+        self.peer_pid = peer_pid
+        self.mechanism = mechanism
 
     def summary(self) -> str:
         return f"IpcOp peer={self.peer_pid} {_IPC_NAMES[self.mechanism]}"
 
 
-@dataclass(slots=True)
-class CapabilityUse:
-    pid: int
-    capability: str
-    possessed: bool
+class CapabilityUse(Value):
+    __slots__ = ("pid", "capability", "possessed")
+
+    def __init__(self, pid: int, capability: str, possessed: bool):
+        self.pid = pid
+        self.capability = capability
+        self.possessed = possessed
 
     def summary(self) -> str:
         state = "possessed" if self.possessed else "not possessed"
         return f"CapabilityUse {self.capability} ({state})"
 
 
-@dataclass(slots=True)
-class PrivLevel:
-    uid: int
-    capability_set: frozenset[str] = frozenset()
+class PrivLevel(Value):
+    __slots__ = ("uid", "capability_set")
+
+    def __init__(self, uid: int, capability_set: frozenset[str] = frozenset()):
+        self.uid = uid
+        self.capability_set = capability_set
 
 
-@dataclass(slots=True)
-class CommitCreds:
-    pid: int
-    old_priv: PrivLevel
-    new_priv: PrivLevel
+class CommitCreds(Value):
+    __slots__ = ("pid", "old_priv", "new_priv")
+
+    def __init__(self, pid: int, old_priv: PrivLevel, new_priv: PrivLevel):
+        self.pid = pid
+        self.old_priv = old_priv
+        self.new_priv = new_priv
 
     def summary(self) -> str:
         return f"CommitCreds uid {self.old_priv.uid}->{self.new_priv.uid}"
 
 
-@dataclass(slots=True)
-class SwitchNamespaces:
-    pid: int
+class SwitchNamespaces(Value):
+    __slots__ = ("pid",)
+
+    def __init__(self, pid: int):
+        self.pid = pid
 
     def summary(self) -> str:
         return "SwitchNamespaces"
 
 
-@dataclass(slots=True)
-class HardeningOp:
-    pid: int
-    op: HardeningKind
+class HardeningOp(Value):
+    __slots__ = ("pid", "op")
+
+    def __init__(self, pid: int, op: HardeningKind):
+        self.pid = pid
+        self.op = op
 
     def summary(self) -> str:
         return f"HardeningOp {_HARDENING_NAMES[self.op]}"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import posixpath
-from dataclasses import dataclass, field
 from enum import IntEnum, IntFlag
 
 import yaml
@@ -204,50 +203,111 @@ class DefaultMode(IntEnum):
     ALLOW = 1
 
 
+# --- records -----------------------------------------------------------------
+
+class Value:
+    """Base of the package's records: ``__slots__`` names the fields, in
+    order, and each class writes its own ``__init__``.
+
+    A record equals only a record of its own class with equal fields, so
+    two classes of one shape never compare equal.  It is mutable and
+    unhashable; see FrozenValue for the other kind.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+_set = object.__setattr__  # how a FrozenValue's __init__ fills its slots
+
+
+class FrozenValue(Value):
+    """A record that refuses assignment and hashes by its fields."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is frozen: cannot delete {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
 # --- rules -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FileRule:
-    path: str
-    access: AccessFlags
+class FileRule(FrozenValue):
+    __slots__ = ("path", "access")
+
+    def __init__(self, path: str, access: AccessFlags):
+        self._init(path, access)
 
 
-@dataclass(frozen=True)
-class SubdirRule:
-    path: str
-    access: AccessFlags
+class SubdirRule(FrozenValue):
+    __slots__ = ("path", "access")
+
+    def __init__(self, path: str, access: AccessFlags):
+        self._init(path, access)
 
 
-@dataclass(frozen=True)
-class FilesystemRule:
-    mountpoint: str
-    access: AccessFlags
+class FilesystemRule(FrozenValue):
+    __slots__ = ("mountpoint", "access")
+
+    def __init__(self, mountpoint: str, access: AccessFlags):
+        self._init(mountpoint, access)
 
 
-@dataclass(frozen=True)
-class DeviceRule:
-    kind: DeviceKind
-    access: AccessFlags
+class DeviceRule(FrozenValue):
+    __slots__ = ("kind", "access")
+
+    def __init__(self, kind: DeviceKind, access: AccessFlags):
+        self._init(kind, access)
 
 
-@dataclass(frozen=True)
-class TtyRule:
-    access: AccessFlags
+class TtyRule(FrozenValue):
+    __slots__ = ("access",)
+
+    def __init__(self, access: AccessFlags):
+        self._init(access)
 
 
-@dataclass(frozen=True)
-class NetworkRule:
-    categories: NetCategory
+class NetworkRule(FrozenValue):
+    __slots__ = ("categories",)
+
+    def __init__(self, categories: NetCategory):
+        self._init(categories)
 
 
-@dataclass(frozen=True)
-class IpcRule:
-    other_policy_name: str
+class IpcRule(FrozenValue):
+    __slots__ = ("other_policy_name",)
+
+    def __init__(self, other_policy_name: str):
+        self._init(other_policy_name)
 
 
-@dataclass(frozen=True)
-class CapabilityRule:
-    capability_name: str
+class CapabilityRule(FrozenValue):
+    __slots__ = ("capability_name",)
+
+    def __init__(self, capability_name: str):
+        self._init(capability_name)
 
 
 Rule = (
@@ -256,17 +316,21 @@ Rule = (
 )
 
 
-@dataclass
-class PolicyDocument:
+class PolicyDocument(Value):
     """A parsed, normalized policy file."""
 
-    name: str
-    entry: str
-    entry_args: tuple[str, ...] = ()
-    default: DefaultMode = DefaultMode.DENY
-    allow: list[Rule] = field(default_factory=list)
-    deny: list[Rule] = field(default_factory=list)
-    taint: list[Rule] = field(default_factory=list)
+    __slots__ = ("name", "entry", "entry_args", "default", "allow", "deny", "taint")
+
+    def __init__(self, name: str, entry: str, entry_args: tuple[str, ...] = (),
+                 default: DefaultMode = DefaultMode.DENY, allow: list[Rule] | None = None,
+                 deny: list[Rule] | None = None, taint: list[Rule] | None = None):
+        self.name = name
+        self.entry = entry
+        self.entry_args = entry_args
+        self.default = default
+        self.allow = [] if allow is None else allow
+        self.deny = [] if deny is None else deny
+        self.taint = [] if taint is None else taint
 
     @property
     def tainted_from_start(self) -> bool:
@@ -458,7 +522,8 @@ def parse_policy(text: str) -> PolicyDocument:
             doc = _load_events(text)
         except _Defer:
             doc = yaml.load(text, Loader=_Loader)
-            _check_utf8(doc)
+            if _Loader is yaml.SafeLoader:  # libyaml refuses a lone surrogate itself
+                _check_utf8(doc)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:  # long int, surrogate, depth
         raise MalformedYaml(str(exc)) from exc
     except (LookupError, AttributeError) as exc:
@@ -512,12 +577,11 @@ def parse_policy(text: str) -> PolicyDocument:
 
 # --- validation --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    severity: str  # "error" | "warning"
-    code: str
-    policy: str
-    message: str
+class ValidationIssue(FrozenValue):
+    __slots__ = ("severity", "code", "policy", "message")  # severity: "error" | "warning"
+
+    def __init__(self, severity: str, code: str, policy: str, message: str):
+        self._init(severity, code, policy, message)
 
     def __str__(self) -> str:
         return f"{self.severity}: [{self.code}] {self.policy}: {self.message}"

@@ -9,7 +9,6 @@ Mutations are serialized per engine instance (single writer).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .compiler import CompiledPolicyStore
 from .errors import (
@@ -19,18 +18,22 @@ from .errors import (
     UnknownContainer,
     UnknownPolicy,
 )
+from .policy import Value
 
 DEFAULT_CONTAINER_CAPACITY = 1024
 
 
-@dataclass
-class Container:
-    container_id: int
-    policy_id: int
-    tainted: bool
-    mount_ns: int = 0
-    ipc_ns: int = 0
-    pid_set: set[int] = field(default_factory=set)
+class Container(Value):
+    __slots__ = ("container_id", "policy_id", "tainted", "mount_ns", "ipc_ns", "pid_set")
+
+    def __init__(self, container_id: int, policy_id: int, tainted: bool,
+                 mount_ns: int = 0, ipc_ns: int = 0, pid_set: set[int] | None = None):
+        self.container_id = container_id
+        self.policy_id = policy_id
+        self.tainted = tainted
+        self.mount_ns = mount_ns
+        self.ipc_ns = ipc_ns
+        self.pid_set = set() if pid_set is None else pid_set
 
     @property
     def refcount(self) -> int:

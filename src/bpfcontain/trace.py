@@ -13,7 +13,6 @@ a trace: one event parsed, judged and written at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -59,6 +58,7 @@ from .events import (
 from .policy import (
     ACCESS_STRINGS,
     CAPABILITIES,
+    Value,
     format_access,
     normalize_event_path,
     parse_access,
@@ -73,29 +73,35 @@ DEFAULT_AUDIT_CAPACITY = 65536
 
 # --- lifecycle records --------------------------------------------------------
 
-@dataclass(slots=True)
-class Confine:
-    pid: int
-    policy_name: str
-    mount_ns: int = 0
-    ipc_ns: int = 0
+class Confine(Value):
+    __slots__ = ("pid", "policy_name", "mount_ns", "ipc_ns")
+
+    def __init__(self, pid: int, policy_name: str, mount_ns: int = 0, ipc_ns: int = 0):
+        self.pid = pid
+        self.policy_name = policy_name
+        self.mount_ns = mount_ns
+        self.ipc_ns = ipc_ns
 
     def summary(self) -> str:
         return f"confine pid={self.pid} policy={self.policy_name}"
 
 
-@dataclass(slots=True)
-class Fork:
-    parent: int
-    child: int
+class Fork(Value):
+    __slots__ = ("parent", "child")
+
+    def __init__(self, parent: int, child: int):
+        self.parent = parent
+        self.child = child
 
     def summary(self) -> str:
         return f"fork {self.parent}->{self.child}"
 
 
-@dataclass(slots=True)
-class Exit:
-    pid: int
+class Exit(Value):
+    __slots__ = ("pid",)
+
+    def __init__(self, pid: int):
+        self.pid = pid
 
     def summary(self) -> str:
         return f"exit {self.pid}"
@@ -447,7 +453,7 @@ _NS_FIELDS = {"mount_ns", "ipc_ns"}
 
 def _wire_fields(cls) -> frozenset:
     """``seq``, ``kind`` and the fields of ``cls``, Confine's namespaces as ``ns_info``."""
-    names = {"seq", "kind"} | {f.name for f in fields(cls)}
+    names = {"seq", "kind", *cls.__slots__}
     return frozenset(names - _NS_FIELDS | {"ns_info"} if cls is Confine else names)
 
 
@@ -566,8 +572,7 @@ def event_to_object(te: TraceEvent) -> dict:
     if kind is None:
         raise TypeError(f"unhandled event {ev!r}")
     out: dict = {"seq": te.seq, "kind": kind}
-    for f in fields(ev):
-        name = f.name
+    for name in ev.__slots__:
         value = getattr(ev, name)
         if value is None or value is _REGULAR:
             continue

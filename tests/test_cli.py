@@ -1,7 +1,6 @@
 """CLI behavior: exit codes, output shape, environment override."""
 
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -142,23 +141,30 @@ def test_run_unhashable_requested_exits_3(policy_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_run_verbose_logs_milestones(policy_dir, tmp_path, capsys, caplog):
+def test_run_verbose_logs_milestones(policy_dir, tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     _write_trace(trace, [
         {"seq": 1, "kind": "confine", "pid": 1, "policy_name": "hello_minimal"},
         {"seq": 2, "kind": "FileAccess", "pid": 1, "path": "/dev/tty", "requested": "r"},
     ])
-    caplog.set_level(logging.INFO, logger="bpfcontain")
-    assert run_cli("--policy-dir", str(policy_dir), "--capacity", "audit=1", "-v",
-                   "run", "--trace", str(trace)) == 0
-    messages = [r.getMessage() for r in caplog.records if r.name == "bpfcontain"]
-    assert any(m.startswith("loaded 2 policies from ") for m in messages)
-    assert any(m.startswith("capacities: file=256,") and m.endswith("audit=1") for m in messages)
-    assert any(m.startswith("store entries: file=0,") and "device=2" in m for m in messages)
-    assert any(m.startswith("parsed 2 events from ") for m in messages)
-    assert "replayed 2 events: 1 audit records kept, 1 dropped, 1 containers live" in messages
+    argv = ("--policy-dir", str(policy_dir), "--capacity", "audit=1", "-v",
+            "run", "--trace", str(trace))
+    assert run_cli(*argv) == 0
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert all(line.startswith("INFO bpfcontain: ") for line in lines), err
+    messages = [line.removeprefix("INFO bpfcontain: ") for line in lines]
+    assert len(messages) == 5
+    assert messages[0].startswith("loaded 2 policies from ")
+    assert messages[1].startswith("capacities: file=256,") and messages[1].endswith("audit=1")
+    assert messages[2].startswith("store entries: file=0,") and "device=2" in messages[2]
+    assert messages[3].startswith("parsed 2 events from ")
+    assert messages[4] == "replayed 2 events: 1 audit records kept, 1 dropped, 1 containers live"
     # stdout is the summary line alone
-    assert capsys.readouterr().out == "events=2 allows=1 denies=0 kills=0 taints=0 dropped=1\n"
+    assert out == "events=2 allows=1 denies=0 kills=0 taints=0 dropped=1\n"
+    # -vv adds nothing: there are no debug lines
+    assert run_cli(*argv[:4], "-vv", *argv[5:]) == 0
+    assert capsys.readouterr() == (out, err)
 
 
 def test_run_default_verbosity_logs_nothing(policy_dir, tmp_path, capsys):
@@ -412,3 +418,17 @@ def test_run_huge_pid_exits_3_whatever_the_digit_limit(policy_dir, tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "pid must be at most 4294967295" in proc.stderr
+
+
+def test_the_cli_import_loads_no_dataclasses_inspect_or_logging():
+    # every ``bpfcontain`` process pays for what ``cli`` imports before its
+    # first event; these three cost milliseconds and the package uses none
+    src = str(Path(bpfcontain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, bpfcontain.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'logging'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,6 +1,5 @@
 """Decision pipeline semantics, one spec example at a time."""
 
-import dataclasses
 import itertools
 from pathlib import Path
 
@@ -592,7 +591,8 @@ def test_an_access_flags_mask_decides_as_its_int():
         flags_store, flags_state, _, _, _ = build_world(doc)
         int_store, int_state, _, _, _ = build_world(doc)
         for ev in file_events:
-            as_int = dataclasses.replace(ev, requested=int(ev.requested))
+            fields = {name: getattr(ev, name) for name in ev.__slots__}
+            as_int = FileAccess(**{**fields, "requested": int(ev.requested)})
             assert (decide(ev, flags_state, flags_store)
                     == decide(as_int, int_state, int_store)), (doc, ev)
 

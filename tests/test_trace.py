@@ -1,6 +1,6 @@
 """Trace parsing, replay semantics, and audit determinism."""
 
-import dataclasses
+import inspect
 import io
 import json
 
@@ -398,7 +398,7 @@ def test_an_event_class_is_its_wire_schema():
     assert len(_PARSERS) == len(_EVERY_CLASS)
     for ev in _EVERY_CLASS:
         obj = event_to_object(TraceEvent(1, ev))
-        names = [f.name for f in dataclasses.fields(ev)]
+        names = list(ev.__slots__)
         if isinstance(ev, Confine):
             names = ["pid", "policy_name", "ns_info"]
         assert list(obj) == ["seq", "kind"] + names
@@ -483,8 +483,13 @@ EVENT_EXAMPLES = (
 @pytest.mark.parametrize("event", EVENT_EXAMPLES, ids=lambda ev: type(ev).__name__)
 def test_event_classes_are_slotted(event):
     cls = type(event)
-    assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+    # the fields are the class's own slots, in __init__'s order, and nothing else
+    assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+    assert all(getattr(base, "__slots__", None) == () for base in cls.__mro__[1:-1])
+    assert all(hasattr(event, name) for name in cls.__slots__)
     assert not hasattr(event, "__dict__")
+    with pytest.raises(AttributeError):
+        event.extra = 1
 
 
 def test_event_equality_is_per_type():
@@ -493,7 +498,7 @@ def test_event_equality_is_per_type():
     for i, a in enumerate(EVENT_EXAMPLES):
         for j, b in enumerate(EVENT_EXAMPLES):
             assert (a == b) == (i == j)
-        assert a == dataclasses.replace(a)
+        assert a == type(a)(*(getattr(a, name) for name in a.__slots__))
 
 
 # --- decoding a line --------------------------------------------------------------
