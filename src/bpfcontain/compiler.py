@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .errors import CapacityExceeded, EmptyName, PolicyIdCollision, StoreSealed
+from .errors import CapacityExceeded, CompileError, EmptyName, PolicyIdCollision, StoreSealed
 from .policy import (
     CapabilityRule,
     DefaultMode,
@@ -71,11 +71,10 @@ class PolicyMeta(FrozenValue):
     the number of components in its deepest subdir or filesystem key (``/``
     counting 0, and 0 if it has neither kind); ``network`` is its
     category-mask triple; ``ipc`` and ``capability`` map a peer policy id or
-    a capability name to its triple.
-
-    The seal guards only the store's mutation API: these tables hold the
-    store's own dicts, writable so that lookups stay plain dict gets, and an
-    edit to one changes every later decision.  Do not mutate them.
+    a capability name to its triple.  Every table is a read-only
+    MappingProxyType and the only copy of its rules: it refuses every edit
+    with TypeError, or IndexError for an item edit under an ipc key past the
+    index range.
     """
 
     __slots__ = ("name", "default_allow", "tainted_from_start", "entry",
@@ -90,6 +89,8 @@ class PolicyMeta(FrozenValue):
 
 # the categories keyed below the policy: policy_id -> key -> (allow, deny, taint)
 KEYED_CATEGORIES = ("file", "subdir", "filesystem", "device", "ipc", "capability")
+# the ipc or capability table of a sealed policy without such rules
+_NO_RULES = MappingProxyType({})
 
 
 class CompiledPolicyStore:
@@ -98,6 +99,8 @@ class CompiledPolicyStore:
     Every keyed category maps policy_id -> key -> an (allow, deny, taint)
     triple: access masks for a path or device, 1/0 for an ipc peer or a
     capability.  Network maps policy_id to one category-mask triple.
+    ``seal()`` hands each policy's meta its tables and drops the build
+    state, so the metas are the sealed store: read them with ``meta(pid)``.
     Mutation after ``seal()`` raises StoreSealed — the read-only-after-load
     analog.
     """
@@ -105,7 +108,7 @@ class CompiledPolicyStore:
     def __init__(self, capacities: MapCapacities | None = None):
         self.capacities = capacities or MapCapacities()
         self._sealed = False
-        self._maps: dict[str, dict[int, dict[object, tuple[int, int, int]]]] = {
+        self._keyed: dict[str, dict[int, dict[object, tuple[int, int, int]]]] = {
             category: {} for category in KEYED_CATEGORIES
         }
         self._network: dict[int, tuple[int, int, int]] = {}
@@ -139,8 +142,7 @@ class CompiledPolicyStore:
         if pid in self._meta:
             if self._meta[pid].name != meta.name:
                 raise PolicyIdCollision(self._meta[pid].name, meta.name, pid)
-            self._meta[pid] = meta
-            return
+            raise CompileError(f"policy {meta.name!r} is already loaded")
         self._charge("meta", True)
         self._meta[pid] = meta
         self._ids_by_name[meta.name] = pid
@@ -148,7 +150,7 @@ class CompiledPolicyStore:
     def merge_rule(self, category: str, pid: int, key, allow=0, deny=0, taint=0):
         """Union the given masks into the (policy, key) entry, creating it if new."""
         self._check_mutable()
-        per_policy = self._maps[category].setdefault(pid, {})
+        per_policy = self._keyed[category].setdefault(pid, {})
         old = per_policy.get(key)
         self._charge(category, old is None)
         a, d, t = old or (0, 0, 0)
@@ -163,10 +165,13 @@ class CompiledPolicyStore:
         self._network[pid] = (a | int(allow), d | int(deny), t | int(taint))
 
     def seal(self) -> "CompiledPolicyStore":
-        """Freeze the store and give each policy's meta its tables; idempotent,
-        and lookups remain available."""
+        """Freeze the store, give each policy's meta its read-only tables and
+        drop the build state; sealing again does nothing."""
+        if self._sealed:
+            return self
         self._sealed = True
-        maps = self._maps
+        maps = {category: {pid: MappingProxyType(table) for pid, table in per_policy.items()}
+                for category, per_policy in self._keyed.items()}
         for pid, meta in self._meta.items():
             subdir_t, fs_t = maps["subdir"].get(pid), maps["filesystem"].get(pid)
             top = max((key.count("/") if key != "/" else 0
@@ -175,9 +180,10 @@ class CompiledPolicyStore:
                 meta.name, meta.default_allow, meta.tainted_from_start, meta.entry,
                 files=(maps["file"].get(pid), subdir_t, fs_t, maps["device"].get(pid), top),
                 network=self._network.get(pid, (0, 0, 0)),
-                ipc=maps["ipc"].get(pid, {}),
-                capability=maps["capability"].get(pid, {}),
+                ipc=maps["ipc"].get(pid, _NO_RULES),
+                capability=maps["capability"].get(pid, _NO_RULES),
             )
+        del self._keyed, self._network, self._triples
         return self
 
     # -- queries ---------------------------------------------------------------
@@ -194,24 +200,6 @@ class CompiledPolicyStore:
 
     def meta(self, pid: int) -> PolicyMeta | None:
         return self._meta.get(pid)
-
-    def policy_names(self) -> list[str]:
-        return sorted(self._ids_by_name)
-
-    def entry(self, category: str, pid: int, key) -> tuple[int, int, int] | None:
-        per_policy = self._maps[category].get(pid)
-        return per_policy.get(key) if per_policy else None
-
-    # Read-only views (the mutation API above is the only sanctioned writer).
-    @property
-    def device_rules(self):
-        return MappingProxyType({
-            pid: MappingProxyType(entries) for pid, entries in self._maps["device"].items()
-        })
-
-    @property
-    def network_rules(self):
-        return MappingProxyType(self._network)
 
 
 def compile_policies(

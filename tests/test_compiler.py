@@ -1,6 +1,8 @@
 """Policy lowering: ids, map layout, capacities, and the seal."""
 
+import operator
 import threading
+from types import MappingProxyType
 
 import pytest
 
@@ -13,13 +15,17 @@ from bpfcontain.compiler import (
     compile_policies,
     policy_id,
 )
+from bpfcontain.engine import Verdict, decide
 from bpfcontain.errors import (
     CapacityExceeded,
+    CompileError,
     EmptyName,
     PolicyIdCollision,
     StoreSealed,
 )
-from bpfcontain.policy import AccessFlags, DeviceKind, parse_policy
+from bpfcontain.events import CapabilityUse, FileAccess
+from bpfcontain.policy import AccessFlags, DefaultMode, DeviceKind, NetworkRule, parse_policy
+from bpfcontain.state import ContainerState
 
 from conftest import MINIMAL_POLICY, TAINT_POLICY
 from corpus import enumerate_policies, workloads
@@ -57,8 +63,8 @@ def test_compile_minimal_policy():
     pid = policy_id("hello_minimal")
     assert store.count("device") == 1
     rw = int(AccessFlags.READ | AccessFlags.WRITE)
-    assert store.entry("device", pid, int(DeviceKind.TTY)) == (rw, 0, 0)
     meta = store.meta(pid)
+    assert meta.files[3] == {int(DeviceKind.TTY): (rw, 0, 0)}
     assert meta.name == "hello_minimal"
     assert meta.tainted_from_start
     assert not meta.default_allow
@@ -72,7 +78,7 @@ def test_compile_taint_policy_merges_same_key():
     pid = policy_id("hello_taint")
     rw = int(AccessFlags.READ | AccessFlags.WRITE)
     r = int(AccessFlags.READ)
-    assert store.entry("device", pid, int(DeviceKind.TTY)) == (rw, 0, r)
+    assert store.meta(pid).files[3][int(DeviceKind.TTY)] == (rw, 0, r)
     assert not store.meta(pid).tainted_from_start
 
 
@@ -133,7 +139,8 @@ def test_seal_semantics():
     store.merge_rule("file", 1, "/x", allow=1)
     assert store.meta(1).files is None  # the tables come with the seal
     store.seal()
-    assert store.meta(1).files == ({"/x": (1, 0, 0)}, None, None, None, 0)
+    meta = store.meta(1)
+    assert meta.files == ({"/x": (1, 0, 0)}, None, None, None, 0)
     with pytest.raises(StoreSealed):
         store.merge_rule("file", 1, "/y", allow=1)
     with pytest.raises(StoreSealed):
@@ -146,32 +153,23 @@ def test_seal_semantics():
         store.merge_rule("ipc", 1, 2, allow=1)
     with pytest.raises(StoreSealed):
         store.merge_rule("capability", 1, "CAP_KILL", allow=1)
-    # lookups still work, sealing again is a no-op
-    assert store.entry("file", 1, "/x") == (1, 0, 0)
-    store.seal()
+    # lookups still work, sealing again is a no-op, and the metas are the
+    # only copy of the tables: no build state outlives the seal
+    assert store.meta(1).files[0]["/x"] == (1, 0, 0)
+    assert store.seal() is store
     assert store.sealed
-
-
-def test_public_views_are_read_only():
-    doc = parse_policy(MINIMAL_POLICY)
-    store = compile_policies([doc])
-    pid = policy_id("hello_minimal")
-    with pytest.raises(TypeError):
-        store.device_rules[123] = {}
-    with pytest.raises(TypeError):
-        store.network_rules[123] = (1, 2, 3)
-    # the nested per-policy mappings are frozen too
-    with pytest.raises(TypeError):
-        store.device_rules[pid][int(DeviceKind.TTY)] = (15, 0, 0)
+    assert store.meta(1) is meta
+    assert set(vars(store)) == {"capacities", "_sealed", "_meta", "_ids_by_name", "_counts"}
 
 
 def test_compile_is_deterministic():
     docs = [parse_policy(MINIMAL_POLICY), parse_policy(TAINT_POLICY)]
     a = compile_policies(docs)
     b = compile_policies(docs)
-    assert dict(a.device_rules) == dict(b.device_rules)
-    assert dict(a.network_rules) == dict(b.network_rules)
-    assert a.policy_names() == b.policy_names()
+    for doc in docs:
+        pid = policy_id(doc.name)
+        assert a.meta(pid) == b.meta(pid)
+        assert a.find_policy(doc.name) == b.find_policy(doc.name) == pid
 
 
 def test_policy_id_collision_is_hard_error():
@@ -179,6 +177,23 @@ def test_policy_id_collision_is_hard_error():
     store.put_meta(42, PolicyMeta("a", False, True, "/bin/a"))
     with pytest.raises(PolicyIdCollision):
         store.put_meta(42, PolicyMeta("b", False, True, "/bin/b"))
+
+
+def test_a_policy_loaded_twice_is_refused():
+    # a second document with a loaded name once merged into the first: its
+    # header won, and a default-allow copy turned a default-deny policy open
+    deny = parse_policy("name: web\nentry: /bin/web\nallow:\n  - file: /srv r\n")
+    allow = parse_policy("name: web\nentry: /bin/web\ndefault: allow\n")
+    for docs in ([deny, allow], [allow, deny], [deny, deny]):
+        with pytest.raises(CompileError, match="'web'") as exc:
+            compile_policies(docs)
+        assert type(exc.value) is CompileError
+    store = CompiledPolicyStore()
+    store.put_meta(42, PolicyMeta("a", False, True, "/bin/a"))
+    with pytest.raises(CompileError, match="'a' is already loaded"):
+        store.put_meta(42, PolicyMeta("a", True, False, "/bin/a"))
+    assert not store.meta(42).default_allow
+    assert store.count("meta") == 1
 
 
 def test_ipc_and_capability_flags():
@@ -189,21 +204,25 @@ def test_ipc_and_capability_flags():
     )
     store = compile_policies([doc])
     pid, peer = policy_id("a"), policy_id("b")
-    assert store.entry("ipc", pid, peer) == (1, 0, 1)
-    assert store.entry("capability", pid, "CAP_KILL") == (1, 0, 0)
-    assert store.entry("capability", pid, "CAP_SYS_ADMIN") is None
+    meta = store.meta(pid)
+    assert meta.ipc == {peer: (1, 0, 1)}
+    assert meta.capability == {"CAP_KILL": (1, 0, 0)}
+    assert meta.capability.get("CAP_SYS_ADMIN") is None
+    # a policy without ipc or capability rules gets empty tables
+    bare = compile_policies([parse_policy(MINIMAL_POLICY)]).meta(policy_id("hello_minimal"))
+    assert bare.ipc == bare.capability == {}
 
 
 def test_sealed_store_is_safe_for_concurrent_readers():
     doc = parse_policy(TAINT_POLICY)
     store = compile_policies([doc])
     pid = policy_id("hello_taint")
-    expected = store.entry("device", pid, int(DeviceKind.TTY))
+    expected = store.meta(pid).files[3][int(DeviceKind.TTY)]
     errors = []
 
     def reader():
         for _ in range(2000):
-            if store.entry("device", pid, int(DeviceKind.TTY)) != expected:
+            if store.meta(pid).files[3].get(int(DeviceKind.TTY)) != expected:
                 errors.append("inconsistent read")
 
     def writer():
@@ -224,24 +243,136 @@ def test_sealed_store_is_safe_for_concurrent_readers():
     assert errors == []
 
 
-def _assert_meta_is_the_store(store):
-    """Each policy's sealed tables are the store's own, entry for entry."""
-    metas = {}
-    for name in store.policy_names():
-        pid = store.find_policy(name)
-        meta = metas[pid] = store.meta(pid)
-        tables = dict(zip(KEYED_CATEGORIES, (*meta.files[:4], meta.ipc, meta.capability)))
-        for category, table in tables.items():
-            held = store._maps[category].get(pid)
-            if held is None:
-                assert table == ({} if category in ("ipc", "capability") else None)
+# a rule's (category, key, mask) in the compiled store, stated apart from
+# the compiler's own dispatch
+_LOWERED = {
+    "FileRule": lambda rule: ("file", rule.path, rule.access),
+    "SubdirRule": lambda rule: ("subdir", rule.path, rule.access),
+    "FilesystemRule": lambda rule: ("filesystem", rule.mountpoint, rule.access),
+    "DeviceRule": lambda rule: ("device", int(rule.kind), rule.access),
+    "TtyRule": lambda rule: ("device", int(DeviceKind.TTY), rule.access),
+    "IpcRule": lambda rule: ("ipc", policy_id(rule.other_policy_name), 1),
+    "CapabilityRule": lambda rule: ("capability", rule.capability_name, 1),
+}
+
+
+def _fold(doc):
+    """The document's rules as per-category tables of (allow, deny, taint),
+    and its network triple."""
+    tables = {category: {} for category in KEYED_CATEGORIES}
+    network = [0, 0, 0]
+    for slot, rules in enumerate((doc.allow, doc.deny, doc.taint)):
+        for rule in rules:
+            if isinstance(rule, NetworkRule):
+                network[slot] |= int(rule.categories)
                 continue
-            assert table is held
-            for key, entry in table.items():
-                assert entry == store.entry(category, pid, key)
-        assert meta.network == store.network_rules.get(pid, (0, 0, 0))
+            category, key, mask = _LOWERED[type(rule).__name__](rule)
+            entry = tables[category].setdefault(key, [0, 0, 0])
+            entry[slot] |= int(mask)
+    return ({category: {key: tuple(entry) for key, entry in table.items()}
+             for category, table in tables.items()}, tuple(network))
+
+
+def _assert_meta_is_the_store(docs, store):
+    """Each policy's sealed meta holds its documents' rules, entry for entry,
+    in read-only tables."""
+    for doc in docs:
+        pid = policy_id(doc.name)
+        meta = store.meta(pid)
+        assert store.find_policy(doc.name) == pid
+        assert (meta.name, meta.default_allow, meta.tainted_from_start, meta.entry) == (
+            doc.name, doc.default is DefaultMode.ALLOW, doc.tainted_from_start, doc.entry)
+        tables, network = _fold(doc)
+        held = dict(zip(KEYED_CATEGORIES, (*meta.files[:4], meta.ipc, meta.capability)))
+        for category, table in held.items():
+            if not tables[category] and category not in ("ipc", "capability"):
+                assert table is None, category
+                continue
+            assert type(table) is MappingProxyType, category
+            assert dict(table) == tables[category], category
+        assert meta.network == network
+        paths = [*tables["subdir"], *tables["filesystem"]]
+        assert meta.files[4] == max((len([c for c in p.split("/") if c]) for p in paths),
+                                    default=0)
+    metas = {policy_id(doc.name): store.meta(policy_id(doc.name)) for doc in docs}
     store.seal()
     assert {pid: store.meta(pid) for pid in metas} == metas
+
+
+_NEW_ENTRY = (15, 0, 0)
+# every dict method that edits, called through ``dict`` so that a subclass
+# or a view cannot answer it with its own override
+_EDITS = {
+    "__setitem__": lambda key: (key, _NEW_ENTRY),
+    "__delitem__": lambda key: (key,),
+    "update": lambda key: ({key: _NEW_ENTRY},),
+    "pop": lambda key: (key,),
+    "popitem": lambda key: (),
+    "clear": lambda key: (),
+    "setdefault": lambda key: (key, _NEW_ENTRY),
+    "__ior__": lambda key: ({key: _NEW_ENTRY},),
+}
+
+
+def _decisions(docs, store):
+    """A decision per path and capability key of every policy, and for
+    ``/etc/shadow``, each in a fresh container."""
+    decisions = []
+    for n, doc in enumerate(docs):
+        meta = store.meta(policy_id(doc.name))
+        state = ContainerState(store)
+        state.confine(n + 1, doc.name)
+        paths = {"/etc/shadow", *(key for table in meta.files[:3] if table for key in table)}
+        events = [FileAccess(n + 1, path, 15) for path in sorted(paths)]
+        events += [CapabilityUse(n + 1, name, False) for name in sorted(meta.capability)]
+        decisions += [decide(event, state, store) for event in events]
+    return decisions
+
+
+def _refused(edit, *args, errors=TypeError):
+    try:
+        edit(*args)
+    except errors:
+        return True
+    return False
+
+
+def _assert_tables_refuse_edits(docs, store):
+    before = _decisions(docs, store)
+    for doc in docs:
+        meta = store.meta(policy_id(doc.name))
+        for table in (*meta.files[:4], meta.ipc, meta.capability):
+            if table is None:
+                continue
+            key = next(iter(table), "/etc/shadow")
+            for name, args in _EDITS.items():
+                assert _refused(getattr(dict, name), table, *args(key)), name
+                # the table's own method, where it has one, refuses too
+                method = getattr(table, name, None)
+                assert method is None or _refused(method, *args(key)), name
+            # ``table[key] = ...`` and ``del table[key]``: the proxy raises
+            # IndexError for an int key past the index range, as half of all
+            # policy ids are, and TypeError otherwise
+            assert _refused(operator.setitem, table, key, _NEW_ENTRY,
+                            errors=(TypeError, IndexError))
+            assert _refused(operator.delitem, table, key, errors=(TypeError, IndexError))
+    assert _decisions(docs, store) == before
+
+
+def test_the_readme_shadow_edit_is_refused():
+    doc = parse_policy("name: web\nentry: /bin/web\nallow:\n  - file: /srv/www r\n")
+    store = compile_policies([doc])
+    state = ContainerState(store)
+    state.confine(1, "web")
+    meta = store.meta(policy_id("web"))
+    shadow = FileAccess(1, "/etc/shadow", int(AccessFlags.READ))
+    assert decide(shadow, state, store).verdict is Verdict.DENY
+    with pytest.raises(TypeError):
+        meta.files[0]["/etc/shadow"] = (15, 0, 0)
+    with pytest.raises(TypeError):
+        dict.__setitem__(meta.files[0], "/etc/shadow", (15, 0, 0))
+    assert decide(shadow, state, store).explain() == "Deny: no matching rule under default deny"
+    _assert_tables_refuse_edits([doc], store)
 
 
 # per-category entries of each benchmark workload's policies at the
@@ -256,16 +387,30 @@ WORKLOAD_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOAD_COUNTS))
-def test_sealed_meta_is_the_store_for_the_workloads(name):
+def _workload_store(name):
     workload = workloads.build(name, workloads.DEFAULT_SEED)
     capacities = {c: n for c, n in workload.capacities.items() if c in MAP_CATEGORIES}
-    store = compile_policies([parse_policy(text) for _, text in workload.policies],
-                             MapCapacities(**capacities))
+    docs = [parse_policy(text) for _, text in workload.policies]
+    return docs, compile_policies(docs, MapCapacities(**capacities))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_COUNTS))
+def test_sealed_meta_is_the_store_for_the_workloads(name):
+    docs, store = _workload_store(name)
     assert {c: store.count(c) for c in MAP_CATEGORIES} == WORKLOAD_COUNTS[name]
-    _assert_meta_is_the_store(store)
+    _assert_meta_is_the_store(docs, store)
 
 
 def test_sealed_meta_is_the_store_for_every_enumerated_policy():
     for doc in enumerate_policies():
-        _assert_meta_is_the_store(compile_policies([doc]))
+        _assert_meta_is_the_store([doc], compile_policies([doc]))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_COUNTS))
+def test_sealed_tables_refuse_edits_for_the_workloads(name):
+    _assert_tables_refuse_edits(*_workload_store(name))
+
+
+def test_sealed_tables_refuse_edits_for_every_enumerated_policy():
+    for doc in enumerate_policies():
+        _assert_tables_refuse_edits([doc], compile_policies([doc]))
