@@ -17,7 +17,6 @@ import tempfile
 from .compiler import MAP_CATEGORIES, MapCapacities, compile_policies
 from .engine import decide
 from .errors import (
-    BpfcontainError,
     CompileError,
     PolicyParseError,
     StateError,
@@ -228,7 +227,7 @@ def cmd_run(args) -> int:
     state = ContainerState(store, max_containers=containers)
     try:
         with trace_fh, _audit_records(args.audit) as records:
-            _, audit = replay(iter_trace(trace_fh), store, state,
+            _, audit = replay(iter_trace(trace_fh), state,
                               audit_capacity=audit_capacity, records=records)
     except OSError as exc:  # creating, writing or moving the audit file, or reading the trace
         raise _Fail(EXIT_IO, f"error: I/O error in run: {exc}")
@@ -270,11 +269,7 @@ def cmd_explain(args) -> int:
         state.confine(event.pid, args.policy)
     except StateError as exc:
         raise _Fail(EXIT_POLICY, f"error: {exc}")
-    try:
-        decision = decide(event, state, store)
-    except (TypeError, BpfcontainError) as exc:
-        raise _Fail(EXIT_TRACE, f"error: {exc}")
-    print(decision.explain())
+    print(decide(event, state).explain())
     return EXIT_OK
 
 

@@ -134,11 +134,6 @@ class CompiledPolicyStore:
 
     def put_meta(self, pid: int, meta: PolicyMeta):
         self._check_mutable()
-        # decide() takes a meta with tables for a sealed store's; only seal()
-        # gives a meta its tables
-        if any(table is not None
-               for table in (meta.files, meta.network, meta.ipc, meta.capability)):
-            raise ValueError(f"policy {meta.name!r}: a meta gets its tables from seal()")
         if pid in self._meta:
             if self._meta[pid].name != meta.name:
                 raise PolicyIdCollision(self._meta[pid].name, meta.name, pid)

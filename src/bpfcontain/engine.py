@@ -37,8 +37,7 @@ from .core import (
     V_KILL,
     V_UNCONFINED,
 )
-from .compiler import MAP_CATEGORIES, CompiledPolicyStore, PolicyMeta
-from .errors import StoreNotSealed, UnknownPolicy
+from .compiler import MAP_CATEGORIES, PolicyMeta
 from .events import (
     CapabilityUse,
     CommitCreds,
@@ -220,24 +219,16 @@ def _finish(verdict: int, code: int, detail, container: Container, policy: str,
 
     Only an untainted container's decision names a taint rule."""
     if taint_detail is not None:
-        state.taint(container.container_id)
+        state.taint(container)
     return _new(Decision, (verdict, code, detail, container.container_id, policy, taint_detail))
 
 
-def decide(event: HookEvent, state: ContainerState,
-           store: CompiledPolicyStore) -> Decision:
-    """Decide one mediated event against current state and the sealed store."""
+def decide(event: HookEvent, state: ContainerState) -> Decision:
+    """Decide one mediated event against the state and its sealed store."""
     container = state.lookup(event.pid)
     if container is None:
-        if not store.sealed:
-            raise StoreNotSealed("decisions require a sealed store")
         return _UNCONFINED
-    meta = store.meta(container.policy_id)
-    # seal() gives every meta its tables: a meta without them is unsealed
-    if meta is None or meta.files is None:
-        if meta is not None or not store.sealed:
-            raise StoreNotSealed("decisions require a sealed store")
-        raise UnknownPolicy(policy_id=container.policy_id)
+    meta = state.store.meta(container.policy_id)
 
     # hot kinds first; the hardening family below is enforced regardless of
     # taint state or default mode
@@ -268,7 +259,7 @@ def decide(event: HookEvent, state: ContainerState,
         return _finish(verdict, code, detail, container, meta.name, state, taint_detail)
 
     if isinstance(event, IpcOp):
-        return _decide_ipc(event, container, meta, state, store)
+        return _decide_ipc(event, container, meta, state)
 
     if isinstance(event, CapabilityUse):
         return _decide_capability(event, container, meta, state)
@@ -292,7 +283,7 @@ def decide(event: HookEvent, state: ContainerState,
 
 
 def _decide_ipc(event: IpcOp, container: Container, meta: PolicyMeta,
-                state: ContainerState, store: CompiledPolicyStore) -> Decision:
+                state: ContainerState) -> Decision:
     cid = container.container_id
     my_name = meta.name
     peer = state.lookup(event.peer_pid)
@@ -306,9 +297,7 @@ def _decide_ipc(event: IpcOp, container: Container, meta: PolicyMeta,
     allow, deny, taint = meta.ipc.get(peer.policy_id, _NO_RULE)
     if not container.tainted and not taint:
         return Decision(V_ALLOW, R_EXEMPT, None, cid, my_name)
-    peer_meta = store.meta(peer.policy_id)
-    if peer_meta is None:
-        raise UnknownPolicy(policy_id=peer.policy_id)
+    peer_meta = state.store.meta(peer.policy_id)
     peer_name = peer_meta.name
     taint_detail = None if container.tainted else (T_IPC, peer_name, 0)
     peer_allow, peer_deny, _ = peer_meta.ipc.get(container.policy_id, _NO_RULE)

@@ -88,7 +88,7 @@ class StoreSealed(BpfcontainError):
 
 
 class StoreNotSealed(BpfcontainError):
-    """A decision was requested against a store that is still mutable."""
+    """A ContainerState was built over a store that is still mutable."""
 
 
 # --- container state --------------------------------------------------------
@@ -104,13 +104,9 @@ class AlreadyConfined(StateError):
 
 
 class UnknownPolicy(StateError):
-    """No loaded policy has this name, or (from a decision) this policy id."""
-
-    def __init__(self, name: str | None = None, *, policy_id: int | None = None):
-        what = f"named {name!r}" if policy_id is None else f"with id {policy_id:#x}"
-        super().__init__(f"no loaded policy {what}")
+    def __init__(self, name: str):
+        super().__init__(f"no loaded policy named {name!r}")
         self.name = name
-        self.policy_id = policy_id
 
 
 class ContainerTableFull(StateError):
@@ -123,12 +119,6 @@ class DuplicatePid(StateError):
     def __init__(self, pid: int):
         super().__init__(f"pid {pid} is already tracked")
         self.pid = pid
-
-
-class UnknownContainer(StateError):
-    def __init__(self, container_id: int):
-        super().__init__(f"no container with id {container_id}")
-        self.container_id = container_id
 
 
 # --- traces -----------------------------------------------------------------

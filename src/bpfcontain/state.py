@@ -15,7 +15,7 @@ from .errors import (
     AlreadyConfined,
     ContainerTableFull,
     DuplicatePid,
-    UnknownContainer,
+    StoreNotSealed,
     UnknownPolicy,
 )
 from .policy import Value
@@ -41,26 +41,29 @@ class Container(Value):
 
 
 class ContainerState:
-    """Mutable runtime state: which pids belong to which containers.
+    """One run's world: a sealed store and which pids belong to which containers.
 
-    Container ids are a monotonically increasing 64-bit counter, never
-    recycled within a run.  The containers table has a fixed capacity;
-    confine fails rather than evicting when it is full.
+    ``decide`` and ``replay`` read the policy maps from ``store`` alone,
+    so the store must be sealed when the state is built (StoreNotSealed
+    otherwise).  Container ids are a monotonically increasing 64-bit
+    counter, never recycled within a run.  The containers table has a fixed
+    capacity; confine fails rather than evicting when it is full.
     """
 
     def __init__(self, store: CompiledPolicyStore,
                  max_containers: int = DEFAULT_CONTAINER_CAPACITY):
+        if not store.sealed:
+            raise StoreNotSealed("a ContainerState needs a sealed store")
         if max_containers <= 0:
             raise ValueError("max_containers must be positive")
         self.store = store
         self.max_containers = max_containers
         self.containers: dict[int, Container] = {}
-        self.processes: dict[int, int] = {}  # pid -> container_id
+        self.processes: dict[int, Container] = {}
         self._ids = itertools.count(1)
 
     def lookup(self, pid: int) -> Container | None:
-        cid = self.processes.get(pid)
-        return self.containers[cid] if cid is not None else None
+        return self.processes.get(pid)
 
     def confine(self, pid: int, policy_name: str,
                 mount_ns: int = 0, ipc_ns: int = 0) -> Container:
@@ -86,37 +89,31 @@ class ContainerState:
             pid_set={pid},
         )
         self.containers[container.container_id] = container
-        self.processes[pid] = container.container_id
+        self.processes[pid] = container
         return container
 
     def on_fork(self, parent_pid: int, child_pid: int) -> Container | None:
         """Child joins the parent's container; forks by unconfined pids are ignored."""
         if child_pid in self.processes:
             raise DuplicatePid(child_pid)
-        cid = self.processes.get(parent_pid)
-        if cid is None:
+        container = self.processes.get(parent_pid)
+        if container is None:
             return None
-        container = self.containers[cid]
         container.pid_set.add(child_pid)
-        self.processes[child_pid] = cid
+        self.processes[child_pid] = container
         return container
 
     def on_exit(self, pid: int) -> Container | None:
         """Drop pid; returns the container if this exit removed it, else None."""
-        cid = self.processes.pop(pid, None)
-        if cid is None:
+        container = self.processes.pop(pid, None)
+        if container is None:
             return None
-        container = self.containers[cid]
         container.pid_set.discard(pid)
         if not container.pid_set:
-            del self.containers[cid]
+            del self.containers[container.container_id]
             return container
         return None
 
-    def taint(self, container_id: int) -> Container:
+    def taint(self, container: Container) -> None:
         """One-way: tainted never reverts.  Idempotent."""
-        container = self.containers.get(container_id)
-        if container is None:
-            raise UnknownContainer(container_id)
         container.tainted = True
-        return container

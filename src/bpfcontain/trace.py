@@ -16,7 +16,6 @@ import json
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .compiler import CompiledPolicyStore
 from .core import V_ALLOW, V_DENY, V_KILL, V_UNCONFINED
 from .engine import (
     R_CREATED,
@@ -342,7 +341,9 @@ def _object_field(obj: dict, key: str, allowed: set, seq) -> dict:
 
 def _priv_level(obj, key: str, seq) -> PrivLevel:
     value = _object_field(obj, key, {"uid", "capability_set"}, seq)
-    uid = _int(value.get("uid"), f"{key}.uid", seq)
+    if "uid" not in value:
+        raise MalformedEvent(seq, f"missing field '{key}.uid'")
+    uid = _int(value["uid"], f"{key}.uid", seq)
     caps = value.get("capability_set", [])
     if not isinstance(caps, list) or any(not isinstance(c, str) for c in caps):
         raise MalformedEvent(seq, f"{key}.capability_set must be a list of strings")
@@ -597,11 +598,12 @@ def write_trace(events: Iterable[TraceEvent], fh: TextIO):
 
 # --- replay ---------------------------------------------------------------------
 
-def replay(events: Iterable[TraceEvent], store: CompiledPolicyStore,
-           state: ContainerState | None = None,
+def replay(events: Iterable[TraceEvent], state: ContainerState,
            audit_capacity: int = DEFAULT_AUDIT_CAPACITY, records=None,
 ) -> tuple[ContainerState, AuditLog]:
-    """Apply a seq-ordered trace; returns final state and the audit log.
+    """Apply a seq-ordered trace to ``state``; returns the state and the audit log.
+
+    Every decision and removal record reads the state's own sealed store.
 
     The log keeps its records in ``records`` (a list by default), anything
     with ``append`` and ``len()``, such as an ``AuditWriter``.
@@ -611,8 +613,6 @@ def replay(events: Iterable[TraceEvent], store: CompiledPolicyStore,
     killed pid are audited as unconfined warnings — a live kernel would
     never deliver them, but traces can contain anything.
     """
-    if state is None:
-        state = ContainerState(store)
     log = AuditLog(audit_capacity, records)
     append = log.append
     killed: set[int] = set()
@@ -629,7 +629,7 @@ def replay(events: Iterable[TraceEvent], store: CompiledPolicyStore,
             if ev.pid in killed:
                 append(AuditRecord(seq, ev, V_UNCONFINED, R_KILLED_EVENT))
                 continue
-            decision = decide(ev, state, store)
+            decision = decide(ev, state)
             append(_new(AuditRecord, (seq, ev) + decision))
             if decision.verdict_code == V_KILL:
                 killed.add(ev.pid)
@@ -662,7 +662,7 @@ def replay(events: Iterable[TraceEvent], store: CompiledPolicyStore,
             if removed is not None:
                 cid = removed.container_id
                 append(_new(AuditRecord, (seq, ev, O_REMOVED, R_REMOVED, cid, cid,
-                                          store.meta(removed.policy_id).name, None)))
+                                          state.store.meta(removed.policy_id).name, None)))
         else:
             raise TypeError(f"replay() cannot apply event {ev!r}")
 

@@ -169,7 +169,7 @@ def test_criterion_2_taint_semantics():
                                    and not triggers
                                    and not _hardening_class(ev)
                                    and not _foreign_proc_class(ev, container))
-                d = decide(ev, state, store)
+                d = decide(ev, state)
                 # (a) taint is monotone
                 assert not (prev_tainted and not container.tainted), "taint reverted"
                 prev_tainted = container.tainted
@@ -225,7 +225,7 @@ def test_criterion_3_deny_precedence_and_capability_mask():
         assert container.tainted  # no taint rules -> enforced from the start
         for _ in range(8):
             ev = rng.choice(EVENTS)
-            d = decide(ev, state, store)
+            d = decide(ev, state)
             if _deny_rule_matches(doc, ev, container, world):
                 matched += 1
                 assert d.verdict is not Verdict.ALLOW, (doc, ev, d)
@@ -240,7 +240,7 @@ def test_criterion_3_deny_precedence_and_capability_mask():
         if i % 2 == 0:
             doc.default = DefaultMode.ALLOW
         store, state, container, _, _ = build_world(doc)
-        d = decide(CapabilityUse(SUBJECT_PID, cap, True), state, store)
+        d = decide(CapabilityUse(SUBJECT_PID, cap, True), state)
         assert d.verdict is Verdict.DENY, (doc, cap, d)
         cap_checked += 1
 
@@ -260,7 +260,7 @@ def test_criterion_4_oracle_equivalence():
         store, state, container, world, cont = build_world(doc)
         init = container.tainted
         for ev in EVENTS:
-            d = decide(ev, state, store)
+            d = decide(ev, state)
             engine_verdict = d.verdict.value
             engine_taint = d.taint_transition
             container.tainted = init
@@ -274,7 +274,7 @@ def test_criterion_4_oracle_equivalence():
             container.tainted = True
             cont.tainted = True
             for ev in EVENTS:
-                d = decide(ev, state, store)
+                d = decide(ev, state)
                 overdict, otaint = oracle.oracle_decide(ev, world)
                 assert d.verdict.value == overdict and d.taint_transition == otaint, (
                     doc, ev, d, overdict)
@@ -301,12 +301,12 @@ def test_criterion_5_hardening():
         for tainted in (container.tainted, True):
             container.tainted = tainted
             for op in HardeningKind:
-                assert decide(HardeningOp(SUBJECT_PID, op), state, store
+                assert decide(HardeningOp(SUBJECT_PID, op), state
                               ).verdict is Verdict.DENY, (doc, op)
-            assert decide(SwitchNamespaces(SUBJECT_PID), state, store
+            assert decide(SwitchNamespaces(SUBJECT_PID), state
                           ).verdict is Verdict.DENY, doc
             d = decide(CommitCreds(SUBJECT_PID, PrivLevel(1000), PrivLevel(0)),
-                       state, store)
+                       state)
             assert d.verdict is Verdict.KILL, doc
             checked += 1
 
@@ -316,7 +316,7 @@ def test_criterion_5_hardening():
             TraceEvent(2, CommitCreds(1, PrivLevel(1000), PrivLevel(0))),
             TraceEvent(3, FileAccess(1, "/dev/tty", parse_access("r"))),
         ]
-        final, log = replay(events, store)
+        final, log = replay(events, ContainerState(store))
         assert final.lookup(1) is None
         assert log.records[1].decision == "Kill"
         assert log.records[2].decision == "Unconfined"
@@ -338,7 +338,7 @@ def test_criterion_6_ipc_truth_table():
                 state = ContainerState(store)
                 state.confine(1, "a", ipc_ns=10)
                 state.confine(2, "b", ipc_ns=10 if same_ns else 11)
-                d = decide(IpcOp(1, 2, IpcMechanism.SIGNAL), state, store)
+                d = decide(IpcOp(1, 2, IpcMechanism.SIGNAL), state)
                 expected = Verdict.ALLOW if (a_has and b_has and same_ns) else Verdict.DENY
                 assert d.verdict is expected, (a_has, b_has, same_ns, d)
                 cases.append((a_has, b_has, same_ns, d.verdict))
@@ -390,10 +390,10 @@ def test_criterion_8_replay_throughput():
     assert len(events) == n
 
     t0 = time.perf_counter()
-    _, log1 = replay(events, store)
+    _, log1 = replay(events, ContainerState(store))
     elapsed = time.perf_counter() - t0
 
-    _, log2 = replay(events, store)
+    _, log2 = replay(events, ContainerState(store))
     out1, out2 = io.StringIO(), io.StringIO()
     log1.write(out1)
     log2.write(out2)

@@ -326,6 +326,25 @@ def test_explain_rejects_lifecycle_events(policy_dir):
                    "--policy", "hello_minimal", "--event", event) == 3
 
 
+@pytest.mark.parametrize("event", [
+    {"kind": "FileAccess", "pid": 1, "path": "/etc/passwd", "requested": "r"},
+    {"kind": "SocketOp", "pid": 1, "family": "Ipv4", "op": "Connect"},
+    {"kind": "IpcOp", "pid": 1, "peer_pid": 2, "mechanism": "Signal"},
+    {"kind": "CapabilityUse", "pid": 1, "capability": "CAP_KILL", "possessed": True},
+    {"kind": "CommitCreds", "pid": 1, "old_priv": {"uid": 1000}, "new_priv": {"uid": 0}},
+    {"kind": "SwitchNamespaces", "pid": 1},
+    {"kind": "HardeningOp", "pid": 1, "op": "Ptrace"},
+], ids=lambda event: event["kind"])
+def test_explain_decides_every_hook_kind(policy_dir, capsys, event):
+    assert run_cli("--policy-dir", str(policy_dir), "explain",
+                   "--policy", "hello_taint", "--event", json.dumps(event)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    verdict, _, reason = out.partition(": ")
+    assert verdict in {"Allow", "Deny", "Kill"} and reason, out
+    assert out.endswith("\n") and out.count("\n") == 1, out
+
+
 # every failure the CLI can reach: (exit code, stderr prefix, argv), where
 # {good} in argv is the example policy directory and {tmp} holds the files
 # _write_failure_inputs writes
@@ -357,6 +376,11 @@ _FAILURES = {
     "explain-malformed-event": (3, "error: malformed trace event at seq 0: ",
                                 ["--policy-dir", "{good}", "explain", "--policy", "hello_minimal",
                                  "--event", '{"kind": "FileAccess", "pid": 1}']),
+    "explain-missing-uid": (3,
+                            "error: malformed trace event at seq 0: missing field 'old_priv.uid'",
+                            ["--policy-dir", "{good}", "explain", "--policy", "hello_minimal",
+                             "--event", '{"kind": "CommitCreds", "pid": 1, "old_priv": {},'
+                                        ' "new_priv": {"uid": 0}}']),
     "explain-lifecycle-event": (3, "error: explain needs a mediated event, not a lifecycle record",
                                 ["--policy-dir", "{good}", "explain", "--policy", "hello_minimal",
                                  "--event", '{"kind": "fork", "parent": 1, "child": 2}']),

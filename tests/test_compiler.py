@@ -325,7 +325,7 @@ def _decisions(docs, store):
         paths = {"/etc/shadow", *(key for table in meta.files[:3] if table for key in table)}
         events = [FileAccess(n + 1, path, 15) for path in sorted(paths)]
         events += [CapabilityUse(n + 1, name, False) for name in sorted(meta.capability)]
-        decisions += [decide(event, state, store) for event in events]
+        decisions += [decide(event, state) for event in events]
     return decisions
 
 
@@ -366,12 +366,12 @@ def test_the_readme_shadow_edit_is_refused():
     state.confine(1, "web")
     meta = store.meta(policy_id("web"))
     shadow = FileAccess(1, "/etc/shadow", int(AccessFlags.READ))
-    assert decide(shadow, state, store).verdict is Verdict.DENY
+    assert decide(shadow, state).verdict is Verdict.DENY
     with pytest.raises(TypeError):
         meta.files[0]["/etc/shadow"] = (15, 0, 0)
     with pytest.raises(TypeError):
         dict.__setitem__(meta.files[0], "/etc/shadow", (15, 0, 0))
-    assert decide(shadow, state, store).explain() == "Deny: no matching rule under default deny"
+    assert decide(shadow, state).explain() == "Deny: no matching rule under default deny"
     _assert_tables_refuse_edits([doc], store)
 
 

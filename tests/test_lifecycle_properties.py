@@ -46,8 +46,7 @@ def _checked(events, state, tainted):
         live = state.containers.values()
         for container in live:
             assert container.refcount == len(container.pid_set) > 0
-            assert all(state.processes[pid] == container.container_id
-                       for pid in container.pid_set)
+            assert all(state.processes[pid] is container for pid in container.pid_set)
         assert sum(c.refcount for c in live) == len(state.processes)
         # taint is one-way: a container once tainted stays tainted while it lives
         assert all(state.containers[cid].tainted for cid in tainted if cid in state.containers)
@@ -59,7 +58,7 @@ def _checked(events, state, tainted):
 def test_lifecycle_and_taint_invariants(evs):
     events = [TraceEvent(seq, ev) for seq, ev in enumerate(evs, start=1)]
     state = ContainerState(STORE)
-    _, log = replay(_checked(events, state, set()), STORE, state,
+    _, log = replay(_checked(events, state, set()), state,
                     audit_capacity=len(events) + 1)
     assert log.dropped == 0
 

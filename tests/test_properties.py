@@ -396,7 +396,7 @@ def test_the_socket_kernel_names_no_taint_rule_for_a_tainted_container():
 def test_ipc_and_capability_name_no_taint_rule_for_a_tainted_container(rng):
     doc = corpus.random_policy(rng, force_taint=True)
     store, state, container, _, _ = corpus.build_world(doc)
-    state.taint(container.container_id)
+    state.taint(container)
     for event in corpus.EVENTS:
         if isinstance(event, (IpcOp, CapabilityUse)):
-            assert decide(event, state, store).taint_detail is None
+            assert decide(event, state).taint_detail is None

@@ -8,7 +8,6 @@ from bpfcontain.errors import (
     AlreadyConfined,
     ContainerTableFull,
     DuplicatePid,
-    UnknownContainer,
     UnknownPolicy,
 )
 from bpfcontain.state import ContainerState
@@ -101,12 +100,10 @@ def test_exit_of_untracked_pid_is_noop(example_state):
 def test_taint_is_one_way_and_idempotent(example_state):
     c = example_state.confine(100, "hello_taint")
     assert not c.tainted
-    example_state.taint(c.container_id)
+    example_state.taint(c)
     assert c.tainted
-    example_state.taint(c.container_id)
+    example_state.taint(c)
     assert c.tainted
-    with pytest.raises(UnknownContainer):
-        example_state.taint(999)
 
 
 def test_container_ids_are_never_recycled(example_state):

@@ -25,6 +25,7 @@ from bpfcontain.events import (
     SwitchNamespaces,
 )
 from bpfcontain.policy import AccessFlags, parse_access
+from bpfcontain.state import ContainerState
 from bpfcontain.trace import (
     _PARSERS,
     Confine,
@@ -50,7 +51,7 @@ def test_minimal_policy_trace(example_store):
         TraceEvent(1, Confine(1, "hello_minimal")),
         TraceEvent(2, FileAccess(1, "/dev/tty", parse_access("rw"))),
     ]
-    state, log = replay(events, example_store)
+    state, log = replay(events, ContainerState(example_store))
     assert [r.decision for r in log.records] == ["Created", "Allow"]
     assert log.summary() == {"events": 2, "allows": 1, "denies": 0,
                              "kills": 0, "taints": 0, "dropped": 0}
@@ -62,7 +63,7 @@ def test_taint_policy_trace(example_store):
         TraceEvent(2, FileAccess(1, "/dev/tty", parse_access("r"))),
         TraceEvent(3, HardeningOp(1, HardeningKind.BPF_SYSCALL)),
     ]
-    state, log = replay(events, example_store)
+    state, log = replay(events, ContainerState(example_store))
     assert [r.decision for r in log.records] == ["Created", "Allow", "Deny"]
     assert log.records[1].taint_transition
     assert log.summary() == {"events": 3, "allows": 1, "denies": 1,
@@ -76,7 +77,7 @@ def test_lifecycle_refcounting_trace(example_store):
         TraceEvent(3, Exit(1)),
         TraceEvent(4, Exit(2)),
     ]
-    state, log = replay(events, example_store)
+    state, log = replay(events, ContainerState(example_store))
     assert state.containers == {}
     assert state.processes == {}
     # fork and the first exit are silent; creation and removal are audited
@@ -90,7 +91,7 @@ def test_kill_retires_the_pid(example_store):
         TraceEvent(3, FileAccess(1, "/dev/tty", parse_access("r"))),
         TraceEvent(4, Confine(1, "hello_minimal")),
     ]
-    state, log = replay(events, example_store)
+    state, log = replay(events, ContainerState(example_store))
     assert state.lookup(1) is None
     decisions = [r.decision for r in log.records]
     assert decisions == ["Created", "Kill", "Unconfined", "Error"]
@@ -108,7 +109,7 @@ def test_lifecycle_errors_are_recorded_and_replay_continues(example_store):
         TraceEvent(4, Fork(1, 1)),                      # DuplicatePid
         TraceEvent(5, FileAccess(1, "/dev/tty", parse_access("r"))),
     ]
-    state, log = replay(events, example_store)
+    state, log = replay(events, ContainerState(example_store))
     decisions = [r.decision for r in log.records]
     assert decisions == ["Created", "Error", "Error", "Error", "Allow"]
     assert state.lookup(1) is not None
@@ -120,7 +121,7 @@ def test_replay_rejects_out_of_order_seq(example_store):
         TraceEvent(2, Exit(1)),
     ]
     with pytest.raises(OutOfOrderTrace):
-        replay(events, example_store)
+        replay(events, ContainerState(example_store))
 
 
 def test_replay_is_deterministic(example_store):
@@ -132,7 +133,7 @@ def test_replay_is_deterministic(example_store):
     ]
     outputs = []
     for _ in range(2):
-        _, log = replay(events, example_store)
+        _, log = replay(events, ContainerState(example_store))
         buf = io.StringIO()
         log.write(buf)
         outputs.append(buf.getvalue())
@@ -145,7 +146,7 @@ def test_audit_overflow_accounting(example_store):
     events = [TraceEvent(1, Confine(1, "hello_minimal"))]
     events += [TraceEvent(i, FileAccess(1, "/dev/tty", parse_access("r")))
                for i in range(2, 12)]
-    _, log = replay(events, example_store, audit_capacity=4)
+    _, log = replay(events, ContainerState(example_store), audit_capacity=4)
     assert len(log.records) == 4
     assert log.dropped == 7  # 11 records attempted, 4 kept
     assert log.allows == 10  # counters see everything
@@ -154,7 +155,7 @@ def test_audit_overflow_accounting(example_store):
 def test_audit_record_field_order(example_store):
     events = [TraceEvent(1, Confine(1, "hello_minimal")),
               TraceEvent(2, FileAccess(1, "/dev/tty", parse_access("r")))]
-    _, log = replay(events, example_store)
+    _, log = replay(events, ContainerState(example_store))
     obj = json.loads(log.records[1].to_json())
     assert list(obj) == ["seq", "container_id", "policy", "event",
                          "decision", "reason", "taint_transition"]
@@ -296,6 +297,17 @@ def test_trace_rejects_negative_integers(obj, what):
     with pytest.raises(MalformedEvent) as exc:
         parse_trace(_lines(obj))
     assert exc.value.why == f"{what} must not be negative"
+
+
+@pytest.mark.parametrize("old, new, what", [
+    ({}, {"uid": 0}, "old_priv.uid"),
+    ({"uid": 0}, {"capability_set": []}, "new_priv.uid"),
+])
+def test_trace_missing_priv_uid_is_reported_as_missing(old, new, what):
+    with pytest.raises(MalformedEvent) as exc:
+        parse_trace(_lines({"seq": 1, "kind": "CommitCreds", "pid": 1,
+                            "old_priv": old, "new_priv": new}))
+    assert exc.value.why == f"missing field '{what}'"
 
 
 def test_trace_allows_negative_seq():
