@@ -10,20 +10,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .errors import CapacityExceeded, CompileError, EmptyName, PolicyIdCollision, StoreSealed
-from .policy import (
-    CapabilityRule,
-    DefaultMode,
-    DeviceKind,
-    DeviceRule,
-    FileRule,
-    FilesystemRule,
-    FrozenValue,
-    IpcRule,
-    NetworkRule,
-    PolicyDocument,
-    SubdirRule,
-    TtyRule,
-)
+from .policy import DefaultMode, FrozenValue, PolicyDocument
 
 FNV64_OFFSET_BASIS = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -88,17 +75,17 @@ class PolicyMeta(FrozenValue):
 
 
 # the categories keyed below the policy: policy_id -> key -> (allow, deny, taint)
-KEYED_CATEGORIES = ("file", "subdir", "filesystem", "device", "ipc", "capability")
-# the ipc or capability table of a sealed policy without such rules
+KEYED_CATEGORIES = tuple(category for category in MAP_CATEGORIES if category != "meta")
+# the ipc, capability or network table of a sealed policy without such rules
 _NO_RULES = MappingProxyType({})
 
 
 class CompiledPolicyStore:
     """Per-category decision maps with fixed capacities and a one-way seal.
 
-    Every keyed category maps policy_id -> key -> an (allow, deny, taint)
-    triple: access masks for a path or device, 1/0 for an ipc peer or a
-    capability.  Network maps policy_id to one category-mask triple.
+    Every category but meta maps policy_id -> key -> an (allow, deny, taint)
+    triple: access masks for a path or device, category masks under the one
+    network key None, 1/0 for an ipc peer or a capability.
     ``seal()`` hands each policy's meta its tables and drops the build
     state, so the metas are the sealed store: read them with ``meta(pid)``.
     Mutation after ``seal()`` raises StoreSealed — the read-only-after-load
@@ -111,7 +98,6 @@ class CompiledPolicyStore:
         self._keyed: dict[str, dict[int, dict[object, tuple[int, int, int]]]] = {
             category: {} for category in KEYED_CATEGORIES
         }
-        self._network: dict[int, tuple[int, int, int]] = {}
         # one object per distinct keyed triple: policies repeat a few many times
         self._triples: dict[tuple[int, int, int], tuple[int, int, int]] = {}
         self._meta: dict[int, PolicyMeta] = {}
@@ -152,13 +138,6 @@ class CompiledPolicyStore:
         entry = (a | int(allow), d | int(deny), t | int(taint))
         per_policy[key] = self._triples.setdefault(entry, entry)
 
-    def merge_network_rule(self, pid: int, allow=0, deny=0, taint=0):
-        self._check_mutable()
-        old = self._network.get(pid)
-        self._charge("network", old is None)
-        a, d, t = old or (0, 0, 0)
-        self._network[pid] = (a | int(allow), d | int(deny), t | int(taint))
-
     def seal(self) -> "CompiledPolicyStore":
         """Freeze the store, give each policy's meta its read-only tables and
         drop the build state; sealing again does nothing."""
@@ -174,11 +153,11 @@ class CompiledPolicyStore:
             self._meta[pid] = PolicyMeta(
                 meta.name, meta.default_allow, meta.tainted_from_start, meta.entry,
                 files=(maps["file"].get(pid), subdir_t, fs_t, maps["device"].get(pid), top),
-                network=self._network.get(pid, (0, 0, 0)),
+                network=maps["network"].get(pid, _NO_RULES).get(None, (0, 0, 0)),
                 ipc=maps["ipc"].get(pid, _NO_RULES),
                 capability=maps["capability"].get(pid, _NO_RULES),
             )
-        del self._keyed, self._network, self._triples
+        del self._keyed, self._triples
         return self
 
     # -- queries ---------------------------------------------------------------
@@ -219,25 +198,6 @@ def compile_policies(
         ))
         for which, rules in (("allow", doc.allow), ("deny", doc.deny), ("taint", doc.taint)):
             for rule in rules:
-                if isinstance(rule, NetworkRule):
-                    store.merge_network_rule(pid, **{which: int(rule.categories)})
-                    continue
-                if isinstance(rule, FileRule):
-                    category, key, mask = "file", rule.path, rule.access
-                elif isinstance(rule, SubdirRule):
-                    category, key, mask = "subdir", rule.path, rule.access
-                elif isinstance(rule, FilesystemRule):
-                    category, key, mask = "filesystem", rule.mountpoint, rule.access
-                elif isinstance(rule, DeviceRule):
-                    category, key, mask = "device", int(rule.kind), rule.access
-                elif isinstance(rule, TtyRule):
-                    # tty rules are sugar for the tty device class
-                    category, key, mask = "device", int(DeviceKind.TTY), rule.access
-                elif isinstance(rule, IpcRule):
-                    category, key, mask = "ipc", policy_id(rule.other_policy_name), 1
-                elif isinstance(rule, CapabilityRule):
-                    category, key, mask = "capability", rule.capability_name, 1
-                else:  # pragma: no cover - parser produces only the kinds above
-                    raise TypeError(f"unhandled rule type: {rule!r}")
-                store.merge_rule(category, pid, key, **{which: int(mask)})
+                key = policy_id(rule.key) if rule.category == "ipc" else rule.key
+                store.merge_rule(rule.category, pid, key, **{which: rule.access})
     return store.seal()

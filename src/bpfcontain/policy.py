@@ -254,66 +254,19 @@ class FrozenValue(Value):
 
 # --- rules -------------------------------------------------------------------
 
-class FileRule(FrozenValue):
-    __slots__ = ("path", "access")
+class Rule(FrozenValue):
+    """One rule as the compiled store keeps it.
 
-    def __init__(self, path: str, access: AccessFlags):
-        self._init(path, access)
+    ``category`` names its map in ``compiler.MAP_CATEGORIES``; ``key`` is the
+    normalized path, the DeviceKind, the peer policy name, the ``CAP_*``
+    name, or None for network; ``access`` is the AccessFlags, the
+    NetCategory mask, or 1 for ipc and capability.
+    """
 
+    __slots__ = ("category", "key", "access")
 
-class SubdirRule(FrozenValue):
-    __slots__ = ("path", "access")
-
-    def __init__(self, path: str, access: AccessFlags):
-        self._init(path, access)
-
-
-class FilesystemRule(FrozenValue):
-    __slots__ = ("mountpoint", "access")
-
-    def __init__(self, mountpoint: str, access: AccessFlags):
-        self._init(mountpoint, access)
-
-
-class DeviceRule(FrozenValue):
-    __slots__ = ("kind", "access")
-
-    def __init__(self, kind: DeviceKind, access: AccessFlags):
-        self._init(kind, access)
-
-
-class TtyRule(FrozenValue):
-    __slots__ = ("access",)
-
-    def __init__(self, access: AccessFlags):
-        self._init(access)
-
-
-class NetworkRule(FrozenValue):
-    __slots__ = ("categories",)
-
-    def __init__(self, categories: NetCategory):
-        self._init(categories)
-
-
-class IpcRule(FrozenValue):
-    __slots__ = ("other_policy_name",)
-
-    def __init__(self, other_policy_name: str):
-        self._init(other_policy_name)
-
-
-class CapabilityRule(FrozenValue):
-    __slots__ = ("capability_name",)
-
-    def __init__(self, capability_name: str):
-        self._init(capability_name)
-
-
-Rule = (
-    FileRule | SubdirRule | FilesystemRule | DeviceRule | TtyRule
-    | NetworkRule | IpcRule | CapabilityRule
-)
+    def __init__(self, category: str, key, access: int):
+        self._init(category, key, access)
 
 
 class PolicyDocument(Value):
@@ -394,28 +347,25 @@ def _parse_rule(entry) -> Rule:
         raise MalformedRule(f"each rule must be a single-key mapping, got {entry!r}")
     (kind, value), = entry.items()
     kind = str(kind).lower()
-    if kind == "file":
-        return FileRule(*_split_rule_value("file", value, normalize_rule_path))
-    if kind == "subdir":
-        return SubdirRule(*_split_rule_value("subdir", value, normalize_rule_path))
-    if kind in ("filesystem", "fs"):
-        return FilesystemRule(*_split_rule_value("filesystem", value, normalize_rule_path))
+    if kind in ("file", "subdir", "filesystem", "fs"):
+        category = "filesystem" if kind == "fs" else kind
+        return Rule(category, *_split_rule_value(category, value, normalize_rule_path))
     if kind == "device":
-        return DeviceRule(*_split_rule_value("device", value, _device_kind))
-    if kind == "tty":
+        return Rule("device", *_split_rule_value("device", value, _device_kind))
+    if kind == "tty":  # shorthand for ``device: tty``
         if value is None:
-            return TtyRule(DEFAULT_ACCESS)
+            return Rule("device", DeviceKind.TTY, DEFAULT_ACCESS)
         if not isinstance(value, str):
             raise BadAccessFlags(str(value))
-        return TtyRule(parse_access(value.strip()))
+        return Rule("device", DeviceKind.TTY, parse_access(value.strip()))
     if kind in ("network", "net"):
-        return NetworkRule(_parse_network_value(value))
+        return Rule("network", None, _parse_network_value(value))
     if kind == "ipc":
         if not isinstance(value, str) or not value.strip():
             raise MalformedRule(f"ipc rule value must be a policy name: {value!r}")
-        return IpcRule(value.strip())
+        return Rule("ipc", value.strip(), 1)
     if kind in ("capability", "cap"):
-        return CapabilityRule(_parse_capability_value(value))
+        return Rule("capability", _parse_capability_value(value), 1)
     raise UnknownRuleKind(kind)
 
 
@@ -605,10 +555,10 @@ def validate_policy_set(docs: list[PolicyDocument]) -> list[ValidationIssue]:
         seen.add(doc.name)
         for rule_list in (doc.allow, doc.deny, doc.taint):
             for rule in rule_list:
-                if isinstance(rule, IpcRule) and rule.other_policy_name not in names:
+                if rule.category == "ipc" and rule.key not in names:
                     issues.append(ValidationIssue(
                         "warning", "DanglingIpcPeer", doc.name,
-                        f"ipc rule references unloaded policy {rule.other_policy_name!r}",
+                        f"ipc rule references unloaded policy {rule.key!r}",
                     ))
         if doc.default == DefaultMode.DENY and not doc.allow:
             issues.append(ValidationIssue(

@@ -37,17 +37,11 @@ from bpfcontain.events import (
 )
 from bpfcontain.policy import (
     AccessFlags,
-    CapabilityRule,
     DefaultMode,
     DeviceKind,
-    DeviceRule,
-    FileRule,
-    FilesystemRule,
-    IpcRule,
-    NetworkRule,
     NetCategory,
     PolicyDocument,
-    SubdirRule,
+    Rule,
     parse_access,
     parse_policy,
 )
@@ -73,33 +67,33 @@ SHARED_IPC_NS = 200
 # 23 rule atoms: 10 paths (5 file / 3 subdir / 2 filesystem), 4 device
 # kinds, 4 network categories, 3 capabilities, 2 ipc peers.
 RULE_ATOMS = (
-    FileRule("/etc/app.conf", R),
-    FileRule("/var/log/app.log", R | A),
-    FileRule("/data/tree/leaf.txt", R | W),
-    FileRule("/dev/null", W),
-    FileRule("/proc/1/status", R),
-    SubdirRule("/data/tree", R | W),
-    SubdirRule("/srv", R),
-    SubdirRule("/home/user", W | A),
-    FilesystemRule("/", R),
-    FilesystemRule("/var", R | W),
-    DeviceRule(DeviceKind.TTY, R | W),
-    DeviceRule(DeviceKind.RANDOM, R),
-    DeviceRule(DeviceKind.NULL, W),
-    DeviceRule(DeviceKind.ZERO, R),
-    NetworkRule(NetCategory.CLIENT),
-    NetworkRule(NetCategory.SERVER),
-    NetworkRule(NetCategory.SEND),
-    NetworkRule(NetCategory.RECEIVE),
-    CapabilityRule("CAP_NET_BIND_SERVICE"),
-    CapabilityRule("CAP_SYS_ADMIN"),
-    CapabilityRule("CAP_KILL"),
-    IpcRule("peer_a"),
-    IpcRule("peer_b"),
+    Rule("file", "/etc/app.conf", R),
+    Rule("file", "/var/log/app.log", R | A),
+    Rule("file", "/data/tree/leaf.txt", R | W),
+    Rule("file", "/dev/null", W),
+    Rule("file", "/proc/1/status", R),
+    Rule("subdir", "/data/tree", R | W),
+    Rule("subdir", "/srv", R),
+    Rule("subdir", "/home/user", W | A),
+    Rule("filesystem", "/", R),
+    Rule("filesystem", "/var", R | W),
+    Rule("device", DeviceKind.TTY, R | W),
+    Rule("device", DeviceKind.RANDOM, R),
+    Rule("device", DeviceKind.NULL, W),
+    Rule("device", DeviceKind.ZERO, R),
+    Rule("network", None, NetCategory.CLIENT),
+    Rule("network", None, NetCategory.SERVER),
+    Rule("network", None, NetCategory.SEND),
+    Rule("network", None, NetCategory.RECEIVE),
+    Rule("capability", "CAP_NET_BIND_SERVICE", 1),
+    Rule("capability", "CAP_SYS_ADMIN", 1),
+    Rule("capability", "CAP_KILL", 1),
+    Rule("ipc", "peer_a", 1),
+    Rule("ipc", "peer_b", 1),
 )
 
 PEER_A_DOC = PolicyDocument(name="peer_a", entry="/usr/bin/peer_a",
-                            allow=[IpcRule(SUBJECT)])
+                            allow=[Rule("ipc", SUBJECT, 1)])
 PEER_B_DOC = PolicyDocument(name="peer_b", entry="/usr/bin/peer_b")
 
 _DEPTH8 = "/data/tree/" + "/".join(f"a{i}" for i in range(1, 9)) + "/deep.txt"

@@ -22,19 +22,7 @@ from bpfcontain.events import (
     SocketOpKind,
     SwitchNamespaces,
 )
-from bpfcontain.policy import (
-    CapabilityRule,
-    DefaultMode,
-    DeviceKind,
-    DeviceRule,
-    FileRule,
-    FilesystemRule,
-    IpcRule,
-    NetworkRule,
-    PolicyDocument,
-    SubdirRule,
-    TtyRule,
-)
+from bpfcontain.policy import DefaultMode, DeviceKind, PolicyDocument
 
 ALLOW, DENY, KILL, UNCONFINED = "Allow", "Deny", "Kill", "Unconfined"
 
@@ -106,14 +94,27 @@ def subdir_matches(root: str, path: str) -> bool:
     return 1 <= below <= MAX_NESTED_SUBDIRS + 1
 
 
+def _rule_list(doc: PolicyDocument, which: str):
+    return {"allow": doc.allow, "deny": doc.deny, "taint": doc.taint}[which]
+
+
+def rule_mask(doc, which, category, key) -> int:
+    """The union of the access of ``which``'s rules with this category and key."""
+    mask = 0
+    for rule in _rule_list(doc, which):
+        if rule.category == category and rule.key == key:
+            mask |= int(rule.access)
+    return mask
+
+
 def containing_mountpoint(doc: PolicyDocument, path: str) -> str | None:
     """Longest declared mountpoint that is a prefix of (or equals) path."""
     best = None
     for rules in (doc.allow, doc.deny, doc.taint):
         for rule in rules:
-            if not isinstance(rule, FilesystemRule):
+            if rule.category != "filesystem":
                 continue
-            mp = rule.mountpoint
+            mp = rule.key
             prefix = mp if mp.endswith("/") else mp + "/"
             if path == mp or path.startswith(prefix):
                 if best is None or len(components(mp)) > len(components(best)):
@@ -121,101 +122,50 @@ def containing_mountpoint(doc: PolicyDocument, path: str) -> str | None:
     return best
 
 
-def _rule_list(doc: PolicyDocument, which: str):
-    return {"allow": doc.allow, "deny": doc.deny, "taint": doc.taint}[which]
-
-
-def file_mask(doc, which, path) -> int:
-    mask = 0
-    for rule in _rule_list(doc, which):
-        if isinstance(rule, FileRule) and rule.path == path:
-            mask |= int(rule.access)
-    return mask
-
-
-def subdir_mask_at(doc, which, root) -> int:
-    mask = 0
-    for rule in _rule_list(doc, which):
-        if isinstance(rule, SubdirRule) and rule.path == root:
-            mask |= int(rule.access)
-    return mask
-
-
 def matching_subdir_roots(doc, path) -> list[str]:
     """All declared subdir roots matching path, deepest first."""
     roots = set()
     for rules in (doc.allow, doc.deny, doc.taint):
         for rule in rules:
-            if isinstance(rule, SubdirRule) and subdir_matches(rule.path, path):
-                roots.add(rule.path)
+            if rule.category == "subdir" and subdir_matches(rule.key, path):
+                roots.add(rule.key)
     return sorted(roots, key=lambda r: len(components(r)), reverse=True)
 
 
-def fs_mask(doc, which, mountpoint) -> int:
-    mask = 0
-    for rule in _rule_list(doc, which):
-        if isinstance(rule, FilesystemRule) and rule.mountpoint == mountpoint:
-            mask |= int(rule.access)
-    return mask
-
-
-def device_mask(doc, which, kind) -> int:
-    mask = 0
-    for rule in _rule_list(doc, which):
-        if isinstance(rule, DeviceRule) and rule.kind == kind:
-            mask |= int(rule.access)
-        elif isinstance(rule, TtyRule) and kind == DeviceKind.TTY:
-            mask |= int(rule.access)
-    return mask
-
-
 def net_mask(doc, which) -> int:
-    mask = 0
-    for rule in _rule_list(doc, which):
-        if isinstance(rule, NetworkRule):
-            mask |= int(rule.categories)
-    return mask
+    return rule_mask(doc, which, "network", None)
 
 
 def has_ipc_rule(doc, which, peer_name) -> bool:
-    return any(isinstance(r, IpcRule) and r.other_policy_name == peer_name
-               for r in _rule_list(doc, which))
+    return bool(rule_mask(doc, which, "ipc", peer_name))
 
 
 def has_cap_rule(doc, which, cap) -> bool:
-    return any(isinstance(r, CapabilityRule) and r.capability_name == cap
-               for r in _rule_list(doc, which))
+    return bool(rule_mask(doc, which, "capability", cap))
+
+
+def _file_rule_matches(doc, which, path, requested) -> bool:
+    """Any ``which`` rule reaching this path with overlapping access."""
+    if rule_mask(doc, which, "file", path) & requested:
+        return True
+    for root in matching_subdir_roots(doc, path):
+        if rule_mask(doc, which, "subdir", root) & requested:
+            return True
+    mp = containing_mountpoint(doc, path)
+    if mp is not None and rule_mask(doc, which, "filesystem", mp) & requested:
+        return True
+    kind = device_kind_of(path)
+    if kind is not None and rule_mask(doc, which, "device", kind) & requested:
+        return True
+    return False
 
 
 def file_deny_matches(doc, path, requested) -> bool:
-    """Any deny rule reaching this path with overlapping access."""
-    if file_mask(doc, "deny", path) & requested:
-        return True
-    for root in matching_subdir_roots(doc, path):
-        if subdir_mask_at(doc, "deny", root) & requested:
-            return True
-    mp = containing_mountpoint(doc, path)
-    if mp is not None and fs_mask(doc, "deny", mp) & requested:
-        return True
-    kind = device_kind_of(path)
-    if kind is not None and device_mask(doc, "deny", kind) & requested:
-        return True
-    return False
+    return _file_rule_matches(doc, "deny", path, requested)
 
 
 def file_taint_matches(doc, path, requested) -> bool:
-    if file_mask(doc, "taint", path) & requested:
-        return True
-    for root in matching_subdir_roots(doc, path):
-        if subdir_mask_at(doc, "taint", root) & requested:
-            return True
-    mp = containing_mountpoint(doc, path)
-    if mp is not None and fs_mask(doc, "taint", mp) & requested:
-        return True
-    kind = device_kind_of(path)
-    if kind is not None and device_mask(doc, "taint", kind) & requested:
-        return True
-    return False
+    return _file_rule_matches(doc, "taint", path, requested)
 
 
 def file_granted(doc, path, explicit_only_tiers: bool) -> int:
@@ -224,23 +174,23 @@ def file_granted(doc, path, explicit_only_tiers: bool) -> int:
     ``explicit_only_tiers`` restricts resolution to file/subdir rules, the
     only ones that can rescue a foreign procfs/sysfs entry.
     """
-    mask = file_mask(doc, "allow", path)
+    mask = rule_mask(doc, "allow", "file", path)
     if mask:
         return mask
     for root in matching_subdir_roots(doc, path):
-        mask = subdir_mask_at(doc, "allow", root)
+        mask = rule_mask(doc, "allow", "subdir", root)
         if mask:
             return mask
     if explicit_only_tiers:
         return 0
     mp = containing_mountpoint(doc, path)
     if mp is not None:
-        mask = fs_mask(doc, "allow", mp)
+        mask = rule_mask(doc, "allow", "filesystem", mp)
         if mask:
             return mask
     kind = device_kind_of(path)
     if kind is not None:
-        mask = device_mask(doc, "allow", kind)
+        mask = rule_mask(doc, "allow", "device", kind)
         if mask:
             return mask
     return 0

@@ -30,11 +30,9 @@ from bpfcontain.events import (
 )
 from bpfcontain.policy import (
     AccessFlags,
-    CapabilityRule,
     DefaultMode,
     DeviceKind,
-    IpcRule,
-    TtyRule,
+    Rule,
     parse_access,
     parse_policy,
 )
@@ -75,7 +73,7 @@ def test_criterion_1_golden_parsing():
     assert doc1.entry == "/usr/bin/hello.static"
     assert doc1.entry_args == ()
     assert doc1.default == DefaultMode.DENY
-    assert doc1.allow == [TtyRule(rw)]
+    assert doc1.allow == [Rule("device", DeviceKind.TTY, rw)]
     assert doc1.deny == []
     assert doc1.taint == []
     assert doc1.tainted_from_start
@@ -85,9 +83,9 @@ def test_criterion_1_golden_parsing():
     assert doc2.entry == "/usr/bin/hello.dynamic"
     assert doc2.entry_args == ()
     assert doc2.default == DefaultMode.DENY
-    assert doc2.allow == [TtyRule(rw)]
+    assert doc2.allow == [Rule("device", DeviceKind.TTY, rw)]
     assert doc2.deny == []
-    assert doc2.taint == [TtyRule(r)]
+    assert doc2.taint == [Rule("device", DeviceKind.TTY, r)]
     assert not doc2.tainted_from_start
 
     elapsed = time.perf_counter() - t0
@@ -235,8 +233,7 @@ def test_criterion_3_deny_precedence_and_capability_mask():
     for i in range(1000):
         doc = random_policy(rng, force_taint=False)
         cap = rng.choice(("CAP_SYS_ADMIN", "CAP_NET_BIND_SERVICE", "CAP_KILL"))
-        doc.allow = [r for r in doc.allow
-                     if not (isinstance(r, CapabilityRule) and r.capability_name == cap)]
+        doc.allow = [r for r in doc.allow if r != Rule("capability", cap, 1)]
         if i % 2 == 0:
             doc.default = DefaultMode.ALLOW
         store, state, container, _, _ = build_world(doc)
@@ -332,8 +329,8 @@ def test_criterion_6_ipc_truth_table():
     for a_has in (False, True):
         for b_has in (False, True):
             for same_ns in (False, True):
-                a = make_policy([(IpcRule("b"), "allow")] if a_has else [], name="a")
-                b = make_policy([(IpcRule("a"), "allow")] if b_has else [], name="b")
+                a = make_policy([(Rule("ipc", "b", 1), "allow")] if a_has else [], name="a")
+                b = make_policy([(Rule("ipc", "a", 1), "allow")] if b_has else [], name="b")
                 store = compile_policies([a, b])
                 state = ContainerState(store)
                 state.confine(1, "a", ipc_ns=10)
@@ -355,7 +352,7 @@ def test_criterion_7_tamper_resistance():
         lambda: store.put_meta(9, PolicyMeta("x", False, True, "/x")),
         lambda: store.merge_rule("file", 9, "/x", allow=1),
         lambda: store.merge_rule("device", 9, int(DeviceKind.TTY), deny=1),
-        lambda: store.merge_network_rule(9, allow=1),
+        lambda: store.merge_rule("network", 9, None, allow=1),
         lambda: store.merge_rule("ipc", 9, 10, allow=1),
         lambda: store.merge_rule("capability", 9, "CAP_KILL", allow=1),
     ):

@@ -24,7 +24,7 @@ from bpfcontain.errors import (
     StoreSealed,
 )
 from bpfcontain.events import CapabilityUse, FileAccess
-from bpfcontain.policy import AccessFlags, DefaultMode, DeviceKind, NetworkRule, parse_policy
+from bpfcontain.policy import AccessFlags, DefaultMode, DeviceKind, parse_policy
 from bpfcontain.state import ContainerState
 
 from conftest import MINIMAL_POLICY, TAINT_POLICY
@@ -148,7 +148,7 @@ def test_seal_semantics():
     with pytest.raises(StoreSealed):
         store.put_meta(2, PolicyMeta("q", False, True, "/bin/q"))
     with pytest.raises(StoreSealed):
-        store.merge_network_rule(1, allow=1)
+        store.merge_rule("network", 1, None, allow=1)
     with pytest.raises(StoreSealed):
         store.merge_rule("ipc", 1, 2, allow=1)
     with pytest.raises(StoreSealed):
@@ -243,34 +243,17 @@ def test_sealed_store_is_safe_for_concurrent_readers():
     assert errors == []
 
 
-# a rule's (category, key, mask) in the compiled store, stated apart from
-# the compiler's own dispatch
-_LOWERED = {
-    "FileRule": lambda rule: ("file", rule.path, rule.access),
-    "SubdirRule": lambda rule: ("subdir", rule.path, rule.access),
-    "FilesystemRule": lambda rule: ("filesystem", rule.mountpoint, rule.access),
-    "DeviceRule": lambda rule: ("device", int(rule.kind), rule.access),
-    "TtyRule": lambda rule: ("device", int(DeviceKind.TTY), rule.access),
-    "IpcRule": lambda rule: ("ipc", policy_id(rule.other_policy_name), 1),
-    "CapabilityRule": lambda rule: ("capability", rule.capability_name, 1),
-}
-
-
 def _fold(doc):
     """The document's rules as per-category tables of (allow, deny, taint),
-    and its network triple."""
+    an ipc peer keyed by its policy id."""
     tables = {category: {} for category in KEYED_CATEGORIES}
-    network = [0, 0, 0]
     for slot, rules in enumerate((doc.allow, doc.deny, doc.taint)):
         for rule in rules:
-            if isinstance(rule, NetworkRule):
-                network[slot] |= int(rule.categories)
-                continue
-            category, key, mask = _LOWERED[type(rule).__name__](rule)
-            entry = tables[category].setdefault(key, [0, 0, 0])
-            entry[slot] |= int(mask)
-    return ({category: {key: tuple(entry) for key, entry in table.items()}
-             for category, table in tables.items()}, tuple(network))
+            key = policy_id(rule.key) if rule.category == "ipc" else rule.key
+            entry = tables[rule.category].setdefault(key, [0, 0, 0])
+            entry[slot] |= int(rule.access)
+    return {category: {key: tuple(entry) for key, entry in table.items()}
+            for category, table in tables.items()}
 
 
 def _assert_meta_is_the_store(docs, store):
@@ -282,15 +265,16 @@ def _assert_meta_is_the_store(docs, store):
         assert store.find_policy(doc.name) == pid
         assert (meta.name, meta.default_allow, meta.tainted_from_start, meta.entry) == (
             doc.name, doc.default is DefaultMode.ALLOW, doc.tainted_from_start, doc.entry)
-        tables, network = _fold(doc)
-        held = dict(zip(KEYED_CATEGORIES, (*meta.files[:4], meta.ipc, meta.capability)))
+        tables = _fold(doc)
+        held = dict(zip(("file", "subdir", "filesystem", "device", "ipc", "capability"),
+                        (*meta.files[:4], meta.ipc, meta.capability)))
         for category, table in held.items():
             if not tables[category] and category not in ("ipc", "capability"):
                 assert table is None, category
                 continue
             assert type(table) is MappingProxyType, category
             assert dict(table) == tables[category], category
-        assert meta.network == network
+        assert meta.network == tables["network"].get(None, (0, 0, 0))
         paths = [*tables["subdir"], *tables["filesystem"]]
         assert meta.files[4] == max((len([c for c in p.split("/") if c]) for p in paths),
                                     default=0)

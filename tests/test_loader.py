@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from bpfcontain import policy
 from bpfcontain.cli import main
 from bpfcontain.errors import MalformedRule, MalformedYaml
-from bpfcontain.policy import AccessFlags, FileRule
+from bpfcontain.policy import AccessFlags, Rule
 
 from corpus import workloads
 
@@ -575,9 +575,9 @@ def test_loading_stays_within_the_per_policy_call_budget(tmp_path):
 
 REPEATED_KEYS = {
     "in-a-rule": (_HEADER + "allow:\n  - file: /a r\n    file: /b r\n",
-                  [FileRule("/b", AccessFlags.READ)]),
+                  [Rule("file", "/b", AccessFlags.READ)]),
     "top-level": (_HEADER + "allow:\n  - tty: rw\nallow:\n  - file: /b r\n",
-                  [FileRule("/b", AccessFlags.READ)]),
+                  [Rule("file", "/b", AccessFlags.READ)]),
 }
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from bpfcontain.compiler import compile_policies, policy_id
 from bpfcontain.errors import (
     BadAccessFlags,
     BadNetworkCategory,
@@ -17,14 +18,8 @@ from bpfcontain.policy import (
     AccessFlags,
     DefaultMode,
     DeviceKind,
-    DeviceRule,
-    FileRule,
-    FilesystemRule,
-    IpcRule,
     NetCategory,
-    NetworkRule,
-    SubdirRule,
-    TtyRule,
+    Rule,
     format_access,
     parse_access,
     parse_policy,
@@ -39,7 +34,7 @@ def test_parse_minimal_policy():
     assert doc.name == "hello_minimal"
     assert doc.entry == "/usr/bin/hello.static"
     assert doc.default == DefaultMode.DENY
-    assert doc.allow == [TtyRule(AccessFlags.READ | AccessFlags.WRITE)]
+    assert doc.allow == [Rule("device", DeviceKind.TTY, AccessFlags.READ | AccessFlags.WRITE)]
     assert doc.deny == []
     assert doc.taint == []
     assert doc.tainted_from_start
@@ -49,8 +44,8 @@ def test_parse_taint_policy():
     doc = parse_policy(TAINT_POLICY)
     assert doc.name == "hello_taint"
     assert doc.entry == "/usr/bin/hello.dynamic"
-    assert doc.allow == [TtyRule(AccessFlags.READ | AccessFlags.WRITE)]
-    assert doc.taint == [TtyRule(AccessFlags.READ)]
+    assert doc.allow == [Rule("device", DeviceKind.TTY, AccessFlags.READ | AccessFlags.WRITE)]
+    assert doc.taint == [Rule("device", DeviceKind.TTY, AccessFlags.READ)]
     assert not doc.tainted_from_start
 
 
@@ -113,9 +108,10 @@ def test_file_rule_with_and_without_flags():
         "  - file: /var/log/mylog.log ra\n"
         "  - file: /etc/app.conf\n"
     )
-    assert doc.allow[0] == FileRule("/var/log/mylog.log", AccessFlags.READ | AccessFlags.APPEND)
+    assert doc.allow[0] == Rule("file", "/var/log/mylog.log",
+                                AccessFlags.READ | AccessFlags.APPEND)
     # omitted flags default to read+write
-    assert doc.allow[1] == FileRule("/etc/app.conf", AccessFlags.READ | AccessFlags.WRITE)
+    assert doc.allow[1] == Rule("file", "/etc/app.conf", AccessFlags.READ | AccessFlags.WRITE)
 
 
 def test_paths_must_be_absolute_and_clean():
@@ -124,7 +120,7 @@ def test_paths_must_be_absolute_and_clean():
     with pytest.raises(InvalidPath):
         parse_policy("name: x\nentry: /bin/sh\nallow:\n  - subdir: /a/../b r\n")
     doc = parse_policy("name: x\nentry: /bin/sh\nallow:\n  - file: //a//b/./c r\n")
-    assert doc.allow[0].path == "/a/b/c"
+    assert doc.allow[0].key == "/a/b/c"
 
 
 def test_subdir_filesystem_device_rules():
@@ -135,10 +131,10 @@ def test_subdir_filesystem_device_rules():
         "  - filesystem: / r\n"
         "  - device: random r\n"
     )
-    assert doc.allow[0] == SubdirRule("/data", AccessFlags.READ | AccessFlags.WRITE)
-    assert doc.allow[1] == FilesystemRule("/var", AccessFlags.READ)
-    assert doc.allow[2] == FilesystemRule("/", AccessFlags.READ)
-    assert doc.allow[3] == DeviceRule(DeviceKind.RANDOM, AccessFlags.READ)
+    assert doc.allow[0] == Rule("subdir", "/data", AccessFlags.READ | AccessFlags.WRITE)
+    assert doc.allow[1] == Rule("filesystem", "/var", AccessFlags.READ)
+    assert doc.allow[2] == Rule("filesystem", "/", AccessFlags.READ)
+    assert doc.allow[3] == Rule("device", DeviceKind.RANDOM, AccessFlags.READ)
     with pytest.raises(MalformedRule):
         parse_policy("name: x\nentry: /bin/sh\nallow:\n  - device: floppy r\n")
 
@@ -164,8 +160,8 @@ def test_malformed_key_and_flags_values(rule, error, message):
 
 def test_key_and_flags_values_default_to_rw():
     doc = parse_policy("name: x\nentry: /bin/sh\nallow:\n  - device: Zero\n  - file: /a/\n")
-    assert doc.allow == [DeviceRule(DeviceKind.ZERO, AccessFlags.READ | AccessFlags.WRITE),
-                         FileRule("/a", AccessFlags.READ | AccessFlags.WRITE)]
+    assert doc.allow == [Rule("device", DeviceKind.ZERO, AccessFlags.READ | AccessFlags.WRITE),
+                         Rule("file", "/a", AccessFlags.READ | AccessFlags.WRITE)]
 
 
 def test_network_rule_forms():
@@ -175,9 +171,9 @@ def test_network_rule_forms():
         "  - net: [server, send]\n"
         "  - network: client receive\n"
     )
-    assert doc.allow[0] == NetworkRule(NetCategory.CLIENT)
-    assert doc.allow[1] == NetworkRule(NetCategory.SERVER | NetCategory.SEND)
-    assert doc.allow[2] == NetworkRule(NetCategory.CLIENT | NetCategory.RECEIVE)
+    assert doc.allow[0] == Rule("network", None, NetCategory.CLIENT)
+    assert doc.allow[1] == Rule("network", None, NetCategory.SERVER | NetCategory.SEND)
+    assert doc.allow[2] == Rule("network", None, NetCategory.CLIENT | NetCategory.RECEIVE)
     with pytest.raises(BadNetworkCategory):
         parse_policy("name: x\nentry: /bin/sh\nallow:\n  - network: broadcast\n")
     with pytest.raises(MalformedRule):
@@ -190,15 +186,49 @@ def test_capability_rule_normalization():
         "  - capability: CAP_SYS_ADMIN\n"
         "  - cap: net_bind_service\n"
     )
-    assert doc.allow[0].capability_name == "CAP_SYS_ADMIN"
-    assert doc.allow[1].capability_name == "CAP_NET_BIND_SERVICE"
+    assert doc.allow[0] == Rule("capability", "CAP_SYS_ADMIN", 1)
+    assert doc.allow[1] == Rule("capability", "CAP_NET_BIND_SERVICE", 1)
     with pytest.raises(UnknownCapability):
         parse_policy("name: x\nentry: /bin/sh\nallow:\n  - capability: CAP_TIME_TRAVEL\n")
 
 
-def test_ipc_rule():
-    doc = parse_policy("name: x\nentry: /bin/sh\nallow:\n  - ipc: other\n")
-    assert doc.allow[0] == IpcRule("other")
+R, W, A, X = AccessFlags.READ, AccessFlags.WRITE, AccessFlags.APPEND, AccessFlags.EXECUTE
+
+# every rule spelling and the one Rule it parses to: the category it names
+# is the map the compiler puts it in
+SPELLINGS = {
+    "file": ("file: /etc/app.conf ra", Rule("file", "/etc/app.conf", R | A)),
+    "subdir": ("subdir: /data/ x", Rule("subdir", "/data", X)),
+    "filesystem": ("filesystem: /var w", Rule("filesystem", "/var", W)),
+    "fs": ("fs: /", Rule("filesystem", "/", R | W)),
+    "device": ("device: random r", Rule("device", DeviceKind.RANDOM, R)),
+    "device-tty": ("device: tty", Rule("device", DeviceKind.TTY, R | W)),
+    "tty-flags": ("tty: wa", Rule("device", DeviceKind.TTY, W | A)),
+    "tty-bare": ("tty:", Rule("device", DeviceKind.TTY, R | W)),
+    "network": ("network: client, receive",
+                Rule("network", None, NetCategory.CLIENT | NetCategory.RECEIVE)),
+    "net-list": ("net: [server, send]",
+                 Rule("network", None, NetCategory.SERVER | NetCategory.SEND)),
+    "ipc": ("ipc: other", Rule("ipc", "other", 1)),
+    "capability": ("capability: CAP_KILL", Rule("capability", "CAP_KILL", 1)),
+    "cap-bare": ("cap: net_raw", Rule("capability", "CAP_NET_RAW", 1)),
+    "upper-case-kind": ("SubDir: /srv r", Rule("subdir", "/srv", R)),
+}
+
+
+@pytest.mark.parametrize("text, rule", SPELLINGS.values(), ids=SPELLINGS.keys())
+def test_each_rule_spelling_parses_to_its_rule(text, rule):
+    doc = parse_policy(f"name: x\nentry: /bin/sh\nallow:\n  - {text}\ntaint:\n  - {text}\n")
+    assert doc.allow == doc.taint == [rule]
+
+
+@pytest.mark.parametrize("tty", ["tty: rw", "tty:"])
+def test_tty_and_device_tty_compile_to_equal_metas(tty):
+    metas = []
+    for rule in (tty, "device: tty rw"):
+        store = compile_policies([parse_policy(f"name: x\nentry: /bin/sh\nallow:\n  - {rule}\n")])
+        metas.append(store.meta(policy_id("x")))
+    assert metas[0] == metas[1]
 
 
 def test_entry_with_arguments():
@@ -227,6 +257,15 @@ def test_validate_dangling_ipc_peer_is_warning():
     dangling = [i for i in issues if i.code == "DanglingIpcPeer"]
     assert len(dangling) == 1
     assert dangling[0].severity == "warning"
+
+
+@pytest.mark.parametrize("which", ["allow", "deny", "taint"])
+def test_validate_dangling_ipc_peer_in_each_rule_list(which):
+    a = parse_policy(f"name: a\nentry: /bin/a\n{which}:\n  - ipc: gone\n  - ipc: b\n")
+    b = parse_policy("name: b\nentry: /bin/b\nallow:\n  - tty: rw\n")
+    dangling = [i for i in validate_policy_set([a, b]) if i.code == "DanglingIpcPeer"]
+    assert [str(i) for i in dangling] == [
+        "warning: [DanglingIpcPeer] a: ipc rule references unloaded policy 'gone'"]
 
 
 def test_validate_single_policy_is_clean():
