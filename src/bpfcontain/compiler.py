@@ -64,14 +64,13 @@ class PolicyMeta(FrozenValue):
     index range.
     """
 
-    __slots__ = ("name", "default_allow", "tainted_from_start", "entry",
+    __slots__ = ("name", "default_allow", "tainted_from_start",
                  "files", "network", "ipc", "capability")
 
-    def __init__(self, name: str, default_allow: bool, tainted_from_start: bool, entry: str,
+    def __init__(self, name: str, default_allow: bool, tainted_from_start: bool,
                  files: tuple | None = None, network: tuple[int, int, int] | None = None,
                  ipc: dict | None = None, capability: dict | None = None):
-        self._init(name, default_allow, tainted_from_start, entry,
-                   files, network, ipc, capability)
+        self._init(name, default_allow, tainted_from_start, files, network, ipc, capability)
 
 
 # the categories keyed below the policy: policy_id -> key -> (allow, deny, taint)
@@ -151,7 +150,7 @@ class CompiledPolicyStore:
             top = max((key.count("/") if key != "/" else 0
                        for table in (subdir_t, fs_t) if table for key in table), default=0)
             self._meta[pid] = PolicyMeta(
-                meta.name, meta.default_allow, meta.tainted_from_start, meta.entry,
+                meta.name, meta.default_allow, meta.tainted_from_start,
                 files=(maps["file"].get(pid), subdir_t, fs_t, maps["device"].get(pid), top),
                 network=maps["network"].get(pid, _NO_RULES).get(None, (0, 0, 0)),
                 ipc=maps["ipc"].get(pid, _NO_RULES),
@@ -194,7 +193,6 @@ def compile_policies(
             name=doc.name,
             default_allow=doc.default == DefaultMode.ALLOW,
             tainted_from_start=doc.tainted_from_start,
-            entry=doc.entry,
         ))
         for which, rules in (("allow", doc.allow), ("deny", doc.deny), ("taint", doc.taint)):
             for rule in rules:

@@ -20,10 +20,8 @@ from yaml.events import (
     MappingStartEvent,
     ScalarEvent,
     SequenceEndEvent,
-    SequenceStartEvent,
     StreamEndEvent,
 )
-from yaml.nodes import ScalarNode
 
 from .errors import (
     BadAccessFlags,
@@ -36,34 +34,6 @@ from .errors import (
     UnknownCapability,
     UnknownRuleKind,
 )
-
-try:
-    from yaml.cyaml import CParser
-except ImportError:  # PyYAML built without libyaml
-    CParser = None
-    _Loader = yaml.SafeLoader
-else:
-    class _Loader(CParser, yaml.composer.Composer,
-                  yaml.constructor.SafeConstructor, yaml.resolver.Resolver):
-        """SafeLoader with libyaml's scanner and parser.
-
-        It loads the texts `_load_events` defers: tags, anchors, aliases,
-        merge keys, non-string scalars and keys, deep nesting, a second
-        document and anything libyaml refuses.  The nodes are composed in
-        Python, not by CParser: its composer recurses on the C stack, so
-        deep nesting would crash the interpreter instead of raising
-        RecursionError.
-        """
-
-        get_single_node = yaml.composer.Composer.get_single_node
-        compose_document = yaml.composer.Composer.compose_document
-        compose_node = yaml.composer.Composer.compose_node
-
-        def __init__(self, stream):
-            CParser.__init__(self, stream)
-            yaml.composer.Composer.__init__(self)
-            yaml.constructor.SafeConstructor.__init__(self)
-            yaml.resolver.Resolver.__init__(self)
 
 DEFAULT_POLICY_DIR = "/var/lib/bpfcontain/policy"
 POLICY_DIR_ENV_VAR = "BPFCONTAIN_POLICY_DIR"
@@ -346,7 +316,7 @@ def _parse_rule(entry) -> Rule:
     if not isinstance(entry, dict) or len(entry) != 1:
         raise MalformedRule(f"each rule must be a single-key mapping, got {entry!r}")
     (kind, value), = entry.items()
-    kind = str(kind).lower()
+    kind = kind.lower()
     if kind in ("file", "subdir", "filesystem", "fs"):
         category = "filesystem" if kind == "fs" else kind
         return Rule(category, *_split_rule_value(category, value, normalize_rule_path))
@@ -378,115 +348,121 @@ def _parse_rule_list(doc: dict, key: str) -> list[Rule]:
     return [_parse_rule(entry) for entry in raw]
 
 
-def _check_utf8(doc):
-    """Raise UnicodeEncodeError (a ValueError) for any string in the loaded
-    document, keys included, that UTF-8 cannot hold: a lone surrogate, which
-    a ``\\u`` escape can name and only libyaml refuses while parsing."""
-    stack, seen = [doc], set()
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            node.encode("utf-8")
-        elif isinstance(node, (dict, list, tuple, set)) and id(node) not in seen:
-            seen.add(id(node))  # aliases may share a node or make a cycle
-            stack.extend(node)
-            if isinstance(node, dict):
-                stack.extend(node.values())
-
-
-class _Defer(Exception):
-    """`_load_events` met a text that only `_Loader` builds."""
-
-
-# a policy nests 4 deep; past this `_Loader` runs, and keeps its RecursionError
+# a policy nests 4 deep
 _MAX_DEPTH = 64
-_RESOLVER = yaml.resolver.Resolver()
+# the plain scalars that load as None; every other scalar is a str
+_NULLS = frozenset({"", "~", "null", "Null", "NULL"})
+
+
+def _refuse(construct: str, event):
+    raise MalformedYaml(
+        f"{construct} is not allowed in a policy (line {event.start_mark.line + 1})")
+
+
+class _PyParser(yaml.reader.Reader, yaml.scanner.Scanner, yaml.parser.Parser):
+    """PyYAML's pure-Python event source, for a PyYAML built without libyaml.
+
+    It refuses a scalar that UTF-8 cannot hold, as libyaml does: a ``\\u``
+    escape naming a lone surrogate.
+    """
+
+    def __init__(self, text: str):
+        yaml.reader.Reader.__init__(self, text)
+        yaml.scanner.Scanner.__init__(self)
+        yaml.parser.Parser.__init__(self)
+
+    def get_event(self):
+        event = yaml.parser.Parser.get_event(self)
+        if event.__class__ is ScalarEvent:
+            try:
+                event.value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                _refuse(f"a lone surrogate {exc.object[exc.start]!r}", event)
+        return event
+
+
+try:
+    from yaml.cyaml import CParser as _Parser
+except ImportError:  # PyYAML built without libyaml
+    _Parser = _PyParser
 
 
 def _load_events(text: str):
-    """Build the document in one pass over libyaml's events, as `_Loader`
-    would: dicts, lists and str, a repeated key keeping its last value at
-    its first position.
+    """Build the policy document in one pass over the parser's events.
 
-    Raise _Defer on anything else: a tag, an anchor or alias, a key that
-    is not a string, a plain scalar that resolves to another type (the
-    ``<<`` merge key included), nesting past _MAX_DEPTH, a second document,
-    or a YAMLError.  No string needs a UTF-8 check: CParser encodes the
-    text first, and libyaml refuses a ``\\u`` escape naming a surrogate.
+    Mappings, sequences and scalars become dicts, lists and str; a plain
+    scalar that is empty or is ``~``, ``null``, ``Null`` or ``NULL`` is
+    None, and no other is typed (``yes``, ``123`` and ``<<`` are strings).
+    A text without a document is None.  The policy language has nothing
+    else: a tag, an anchor, an alias, a repeated key, a null key, a
+    collection as a key, nesting past _MAX_DEPTH and a second document
+    each raise MalformedYaml, naming the construct and its line.
     """
-    if CParser is None:
-        raise _Defer
-    implicit = _RESOLVER.yaml_implicit_resolvers
-    try:
-        get = CParser(text).get_event
-        get()  # StreamStartEvent
-        if get().__class__ is StreamEndEvent:
-            return None  # no document, only comments or nothing
-        cur = root = []
-        stack = []
-        key = None  # in a mapping, the key whose value comes next
-        while True:
-            event = get()
-            cls = event.__class__
-            if cls is MappingEndEvent or cls is SequenceEndEvent:
-                cur = stack.pop()
+    get = _Parser(text).get_event
+    get()  # StreamStartEvent
+    if get().__class__ is StreamEndEvent:
+        return None  # no document, only comments or nothing
+    cur = root = []
+    stack = []
+    key = None  # in a mapping, the key whose value comes next
+    while True:
+        event = get()
+        cls = event.__class__
+        if cls is MappingEndEvent or cls is SequenceEndEvent:
+            cur = stack.pop()
+            continue
+        if cls is DocumentEndEvent:
+            break
+        if cls is AliasEvent:
+            _refuse(f"an alias *{event.anchor}", event)
+        if event.anchor is not None:
+            _refuse(f"an anchor &{event.anchor}", event)
+        if event.tag is not None:
+            _refuse("a tag", event)  # unnamed: libyaml and PyYAML end some tags apart
+        if cls is ScalarEvent:
+            value = event.value
+            if event.implicit[0] and value in _NULLS:
+                value = None
+            if key is None and cur.__class__ is dict:
+                if value is None:
+                    _refuse("a null key", event)
+                if value in cur:
+                    _refuse(f"a repeated key {value!r}", event)
+                key = value
                 continue
-            if cls is DocumentEndEvent:
-                break
-            if cls is AliasEvent or event.anchor is not None or event.tag is not None:
-                raise _Defer
-            if cls is ScalarEvent:
-                value = event.value
-                # only a plain scalar whose first character starts some
-                # implicit type (or an empty one) can resolve to a non-str
-                if event.implicit[0] and value[:1] in implicit and \
-                        _RESOLVER.resolve(ScalarNode, value, event.implicit) \
-                        != _RESOLVER.DEFAULT_SCALAR_TAG:
-                    raise _Defer
-                if key is None and cur.__class__ is dict:
-                    key = value
-                    continue
-            elif (key is None and cur.__class__ is dict) or len(stack) == _MAX_DEPTH:
-                raise _Defer  # a collection as a key, or too deep
-            else:
-                value = {} if cls is MappingStartEvent else []
-            if key is None:
-                cur.append(value)
-            else:
-                cur[key] = value
-                key = None
-            if cls is not ScalarEvent:
-                stack.append(cur)
-                cur = value
-        if get().__class__ is not StreamEndEvent:
-            raise _Defer  # a second document
-    except yaml.YAMLError:
-        raise _Defer from None
+        elif key is None and cur.__class__ is dict:
+            _refuse("a mapping as a key" if cls is MappingStartEvent else "a sequence as a key",
+                    event)
+        elif len(stack) == _MAX_DEPTH:
+            _refuse(f"nesting deeper than {_MAX_DEPTH} levels", event)
+        else:
+            value = {} if cls is MappingStartEvent else []
+        if key is None:
+            cur.append(value)
+        else:
+            cur[key] = value
+            key = None
+        if cls is not ScalarEvent:
+            stack.append(cur)
+            cur = value
+    event = get()
+    if event.__class__ is not StreamEndEvent:
+        _refuse("a second document", event)
     return root[0]
 
 
 def parse_policy(text: str) -> PolicyDocument:
     """Parse one YAML policy document into a normalized PolicyDocument."""
     try:
-        try:
-            doc = _load_events(text)
-        except _Defer:
-            doc = yaml.load(text, Loader=_Loader)
-            if _Loader is yaml.SafeLoader:  # libyaml refuses a lone surrogate itself
-                _check_utf8(doc)
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # long int, surrogate, depth
+        doc = _load_events(text)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a lone surrogate in ``text``
         raise MalformedYaml(str(exc)) from exc
-    except (LookupError, AttributeError) as exc:
-        # a tag's constructor tripping on its value: KeyError for `!!bool maybe`,
-        # IndexError for `!!int ''`, AttributeError for `!!timestamp foo`
-        raise MalformedYaml(
-            f"cannot construct a tagged value ({type(exc).__name__}: {exc})") from exc
     if not isinstance(doc, dict):
         raise MalformedYaml("policy document must be a YAML mapping")
 
     unknown = set(doc) - _TOP_LEVEL_KEYS
     if unknown:
-        raise MalformedRule(f"unknown top-level keys: {sorted(unknown, key=str)}")
+        raise MalformedRule(f"unknown top-level keys: {sorted(unknown)}")
 
     if "name" not in doc:
         raise MissingField("name")

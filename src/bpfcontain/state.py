@@ -35,10 +35,6 @@ class Container(Value):
         self.ipc_ns = ipc_ns
         self.pid_set = set() if pid_set is None else pid_set
 
-    @property
-    def refcount(self) -> int:
-        return len(self.pid_set)
-
 
 class ContainerState:
     """One run's world: a sealed store and which pids belong to which containers.

@@ -270,7 +270,7 @@ _FAMILIES = {name: family for family, name in _FAMILY_NAMES.items()}
 _SOCK_OPS = {name: op for op, name in _SOCKOP_NAMES.items()}
 _MECHANISMS = {name: mech for mech, name in _IPC_NAMES.items()}
 _HARDENING_OPS = {name: op for op, name in _HARDENING_NAMES.items()}
-_CAPABILITIES = {name: name for name in CAPABILITIES}
+_CAPABILITIES = {name: name for name in sorted(CAPABILITIES)}
 # canonical ``rwax`` spelling -> its plain int mask; other spellings go
 # through ``parse_access``
 _MASKS = {text: mask for mask, text in enumerate(ACCESS_STRINGS) if text}
@@ -323,7 +323,9 @@ def _enum_field(obj: dict, key: str, table: dict, seq):
             return member
     value = _need(obj, key, str, seq)
     if value not in table:
-        raise MalformedEvent(seq, f"field {key!r} has unknown value {value!r}")
+        *names, last = table
+        raise MalformedEvent(seq, f"field {key!r} has unknown value {value!r} "
+                                  f"(expected {', '.join(names)} or {last})")
     return table[value]
 
 

@@ -349,7 +349,7 @@ def test_criterion_7_tamper_resistance():
     # sealed stores refuse every mutation path
     store = compile_policies([parse_policy(MINIMAL_POLICY)])
     for attempt in (
-        lambda: store.put_meta(9, PolicyMeta("x", False, True, "/x")),
+        lambda: store.put_meta(9, PolicyMeta("x", False, True)),
         lambda: store.merge_rule("file", 9, "/x", allow=1),
         lambda: store.merge_rule("device", 9, int(DeviceKind.TTY), deny=1),
         lambda: store.merge_rule("network", 9, None, allow=1),

@@ -68,7 +68,6 @@ def test_compile_minimal_policy():
     assert meta.name == "hello_minimal"
     assert meta.tainted_from_start
     assert not meta.default_allow
-    assert meta.entry == "/usr/bin/hello.static"
 
 
 def test_compile_taint_policy_merges_same_key():
@@ -135,7 +134,7 @@ def test_capacities_must_be_positive():
 
 def test_seal_semantics():
     store = CompiledPolicyStore()
-    store.put_meta(1, PolicyMeta("p", False, True, "/bin/p"))
+    store.put_meta(1, PolicyMeta("p", False, True))
     store.merge_rule("file", 1, "/x", allow=1)
     assert store.meta(1).files is None  # the tables come with the seal
     store.seal()
@@ -146,7 +145,7 @@ def test_seal_semantics():
     with pytest.raises(StoreSealed):
         store.merge_rule("file", 1, "/x", deny=2)  # updates fail too
     with pytest.raises(StoreSealed):
-        store.put_meta(2, PolicyMeta("q", False, True, "/bin/q"))
+        store.put_meta(2, PolicyMeta("q", False, True))
     with pytest.raises(StoreSealed):
         store.merge_rule("network", 1, None, allow=1)
     with pytest.raises(StoreSealed):
@@ -174,9 +173,9 @@ def test_compile_is_deterministic():
 
 def test_policy_id_collision_is_hard_error():
     store = CompiledPolicyStore()
-    store.put_meta(42, PolicyMeta("a", False, True, "/bin/a"))
+    store.put_meta(42, PolicyMeta("a", False, True))
     with pytest.raises(PolicyIdCollision):
-        store.put_meta(42, PolicyMeta("b", False, True, "/bin/b"))
+        store.put_meta(42, PolicyMeta("b", False, True))
 
 
 def test_a_policy_loaded_twice_is_refused():
@@ -189,9 +188,9 @@ def test_a_policy_loaded_twice_is_refused():
             compile_policies(docs)
         assert type(exc.value) is CompileError
     store = CompiledPolicyStore()
-    store.put_meta(42, PolicyMeta("a", False, True, "/bin/a"))
+    store.put_meta(42, PolicyMeta("a", False, True))
     with pytest.raises(CompileError, match="'a' is already loaded"):
-        store.put_meta(42, PolicyMeta("a", True, False, "/bin/a"))
+        store.put_meta(42, PolicyMeta("a", True, False))
     assert not store.meta(42).default_allow
     assert store.count("meta") == 1
 
@@ -263,8 +262,8 @@ def _assert_meta_is_the_store(docs, store):
         pid = policy_id(doc.name)
         meta = store.meta(pid)
         assert store.find_policy(doc.name) == pid
-        assert (meta.name, meta.default_allow, meta.tainted_from_start, meta.entry) == (
-            doc.name, doc.default is DefaultMode.ALLOW, doc.tainted_from_start, doc.entry)
+        assert (meta.name, meta.default_allow, meta.tainted_from_start) == (
+            doc.name, doc.default is DefaultMode.ALLOW, doc.tainted_from_start)
         tables = _fold(doc)
         held = dict(zip(("file", "subdir", "filesystem", "device", "ipc", "capability"),
                         (*meta.files[:4], meta.ipc, meta.capability)))

@@ -171,7 +171,7 @@ def test_unsealed_store_is_refused():
     store = CompiledPolicyStore()
     with pytest.raises(StoreNotSealed):
         ContainerState(store)
-    store.put_meta(7, PolicyMeta("p", False, True, "/bin/p"))
+    store.put_meta(7, PolicyMeta("p", False, True))
     with pytest.raises(StoreNotSealed):
         ContainerState(store)
     state = ContainerState(store.seal())

@@ -45,9 +45,9 @@ def _checked(events, state, tainted):
         yield te
         live = state.containers.values()
         for container in live:
-            assert container.refcount == len(container.pid_set) > 0
+            assert container.pid_set
             assert all(state.processes[pid] is container for pid in container.pid_set)
-        assert sum(c.refcount for c in live) == len(state.processes)
+        assert sum(len(c.pid_set) for c in live) == len(state.processes)
         # taint is one-way: a container once tainted stays tainted while it lives
         assert all(state.containers[cid].tainted for cid in tainted if cid in state.containers)
         tainted.update(c.container_id for c in live if c.tainted)

@@ -44,7 +44,7 @@ RULES = (
 FROZEN = RULES + (
     ValidationIssue("error", "DuplicateName", "p", "declared twice"),
     MapCapacities(file=3),
-    PolicyMeta("p", False, True, "/bin/p"),
+    PolicyMeta("p", False, True),
 )
 MUTABLE = (
     FileAccess(1, "/a", 1),

@@ -16,7 +16,6 @@ from bpfcontain.state import ContainerState
 def test_confine_minimal_is_tainted_from_start(example_state):
     c = example_state.confine(100, "hello_minimal")
     assert c.tainted
-    assert c.refcount == 1
     assert c.pid_set == {100}
 
 
@@ -50,7 +49,6 @@ def test_container_table_full(example_store):
 def test_fork_joins_child(example_state):
     c = example_state.confine(100, "hello_minimal")
     example_state.on_fork(100, 101)
-    assert c.refcount == 2
     assert c.pid_set == {100, 101}
     assert example_state.lookup(101) is c
 
@@ -73,7 +71,6 @@ def test_fork_chain_depth_three_gives_refcount_four(example_state):
     example_state.on_fork(1, 2)
     example_state.on_fork(2, 3)
     example_state.on_fork(3, 4)
-    assert c.refcount == 4
     assert c.pid_set == {1, 2, 3, 4}
 
 
@@ -89,7 +86,6 @@ def test_exit_keeps_container_while_members_remain(example_state):
     c = example_state.confine(100, "hello_minimal")
     example_state.on_fork(100, 101)
     assert example_state.on_exit(100) is None
-    assert c.refcount == 1
     assert c.pid_set == {101}
 
 
@@ -135,7 +131,7 @@ def test_refcount_matches_membership_under_random_ops(example_store):
         else:
             pid = live.pop(rng.randrange(len(live)))
             state.on_exit(pid)
-        for c in state.containers.values():
-            assert c.refcount == len(c.pid_set)
-            assert c.refcount > 0
-        assert sum(c.refcount for c in state.containers.values()) == len(live)
+        pid_sets = [c.pid_set for c in state.containers.values()]
+        assert all(pid_sets)
+        assert sum(map(len, pid_sets)) == len(live)
+        assert set().union(*pid_sets) == set(live)

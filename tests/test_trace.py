@@ -24,7 +24,7 @@ from bpfcontain.events import (
     SocketOpKind,
     SwitchNamespaces,
 )
-from bpfcontain.policy import AccessFlags, parse_access
+from bpfcontain.policy import CAPABILITIES, AccessFlags, parse_access
 from bpfcontain.state import ContainerState
 from bpfcontain.trace import (
     _PARSERS,
@@ -223,6 +223,20 @@ def test_trace_rejects_bad_enum_value():
         parse_trace(lines)
 
 
+# the error lists the accepted spellings, in wire-table order
+@pytest.mark.parametrize("obj, why", [
+    ({"family": "IPv4", "op": "Connect"},
+     "field 'family' has unknown value 'IPv4' (expected Ipv4, Ipv6, Unix or Other)"),
+    ({"family": "Ipv4", "op": "Dial"},
+     "field 'op' has unknown value 'Dial' (expected Create, Bind, Listen, Accept, Connect, "
+     "Send, Receive or Shutdown)"),
+], ids=["family", "op"])
+def test_trace_enum_error_names_the_accepted_values(obj, why):
+    with pytest.raises(MalformedEvent) as exc:
+        parse_trace(_lines({"seq": 1, "kind": "SocketOp", "pid": 1, **obj}))
+    assert exc.value.why == why
+
+
 # every field the parser looks up in a table inline, in an event otherwise valid
 _LOOKED_UP = [
     ({"kind": "FileAccess", "pid": 1, "path": "/x", "requested": "r"}, "requested"),
@@ -319,7 +333,8 @@ def test_trace_rejects_unknown_capability_names():
     with pytest.raises(MalformedEvent) as exc:
         parse_trace(_lines({"seq": 1, "kind": "CapabilityUse", "pid": 1,
                             "capability": "CAP_NET_RAWR", "possessed": True}))
-    assert exc.value.why == "field 'capability' has unknown value 'CAP_NET_RAWR'"
+    assert exc.value.why == ("field 'capability' has unknown value 'CAP_NET_RAWR' (expected "
+                             + ", ".join(sorted(CAPABILITIES)[:-1]) + " or CAP_WAKE_ALARM)")
     # the policy vocabulary's spellings only: no lower case, no missing prefix
     for name in ("cap_net_raw", "NET_RAW"):
         with pytest.raises(MalformedEvent):
