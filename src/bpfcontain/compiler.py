@@ -7,6 +7,7 @@ sealed read-only for the lifetime of the engine.
 
 from __future__ import annotations
 
+import sys
 from types import MappingProxyType
 
 from .errors import CapacityExceeded, CompileError, EmptyName, PolicyIdCollision, StoreSealed
@@ -53,15 +54,13 @@ class MapCapacities(FrozenValue):
 class PolicyMeta(FrozenValue):
     """A policy's header and, once its store is sealed, its tables.
 
-    ``seal()`` fills the tables: ``files`` is ``(file_t, subdir_t, fs_t,
-    dev_t, top)``, each table None if the policy has no such rule and ``top``
-    the number of components in its deepest subdir or filesystem key (``/``
-    counting 0, and 0 if it has neither kind); ``network`` is its
-    category-mask triple; ``ipc`` and ``capability`` map a peer policy id or
-    a capability name to its triple.  Every table is a read-only
-    MappingProxyType and the only copy of its rules: it refuses every edit
-    with TypeError, or IndexError for an item edit under an ipc key past the
-    index range.
+    ``seal()`` fills the tables: ``files`` is ``(file_t, tree, dev_t)``,
+    ``file_t`` and ``dev_t`` None if the policy has no such rule and ``tree``
+    its ``_prefix_tree``; ``network`` is its category-mask triple; ``ipc``
+    and ``capability`` map a peer policy id or a capability name to its
+    triple.  Every table is a read-only MappingProxyType and the only copy of
+    its rules: it refuses every edit with TypeError, or IndexError for an
+    item edit under an ipc key past the index range.
     """
 
     __slots__ = ("name", "default_allow", "tainted_from_start",
@@ -77,6 +76,32 @@ class PolicyMeta(FrozenValue):
 KEYED_CATEGORIES = tuple(category for category in MAP_CATEGORIES if category != "meta")
 # the ipc, capability or network table of a sealed policy without such rules
 _NO_RULES = MappingProxyType({})
+
+
+def _prefix_tree(subdir_t, fs_t, nodes=None):
+    """The file kernel's walk table: each subdir or filesystem key, and each
+    ancestor of one, maps to its ``(subdir entry, filesystem entry)``, an
+    entry None where the prefix is no key of that kind; None if there is
+    neither kind of key.
+
+    A path prefix that is not in the tree is no key and no key's ancestor,
+    so a walk down a path stops there.  ``nodes`` shares equal nodes, and
+    ancestors are interned, so policies whose keys share a directory share
+    its name."""
+    if not subdir_t and not fs_t:
+        return None
+    subdir_t, fs_t = subdir_t or {}, fs_t or {}
+    intern = ({} if nodes is None else nodes).setdefault
+    bare = intern((None, None), (None, None))
+    tree = {}
+    for key in (*subdir_t, *fs_t):
+        cut = 0
+        while cut >= 0:
+            tree.setdefault(sys.intern(key[:cut] or "/"), bare)
+            cut = key.find("/", cut + 1)
+        node = (subdir_t.get(key), fs_t.get(key))
+        tree[key] = intern(node, node)
+    return MappingProxyType(tree)
 
 
 class CompiledPolicyStore:
@@ -143,16 +168,15 @@ class CompiledPolicyStore:
         if self._sealed:
             return self
         self._sealed = True
-        maps = {category: {pid: MappingProxyType(table) for pid, table in per_policy.items()}
-                for category, per_policy in self._keyed.items()}
+        keyed, nodes = self._keyed, {}
+        maps = {category: {pid: MappingProxyType(table) for pid, table in keyed[category].items()}
+                for category in ("file", "device", "ipc", "capability")}
         for pid, meta in self._meta.items():
-            subdir_t, fs_t = maps["subdir"].get(pid), maps["filesystem"].get(pid)
-            top = max((key.count("/") if key != "/" else 0
-                       for table in (subdir_t, fs_t) if table for key in table), default=0)
+            tree = _prefix_tree(keyed["subdir"].get(pid), keyed["filesystem"].get(pid), nodes)
             self._meta[pid] = PolicyMeta(
                 meta.name, meta.default_allow, meta.tainted_from_start,
-                files=(maps["file"].get(pid), subdir_t, fs_t, maps["device"].get(pid), top),
-                network=maps["network"].get(pid, _NO_RULES).get(None, (0, 0, 0)),
+                files=(maps["file"].get(pid), tree, maps["device"].get(pid)),
+                network=keyed["network"].get(pid, _NO_RULES).get(None, (0, 0, 0)),
                 ipc=maps["ipc"].get(pid, _NO_RULES),
                 capability=maps["capability"].get(pid, _NO_RULES),
             )

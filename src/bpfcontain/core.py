@@ -88,18 +88,17 @@ def classify_device(path):
 def decide_file_access(files, default_allow, tainted, implicit, path, requested):
     """Stages 3-8 of the pipeline for one file access.
 
-    ``files`` is the policy meta's ``(file_t, subdir_t, fs_t, dev_t, top)``:
-    its per-category tables (or None), then the number of components in its
-    deepest subdir or filesystem key (``/`` has none).  A key names a path,
-    so an ancestor with more components than ``top`` cannot match either
-    table, and the walk up from the path looks up only the ancestors with
-    at most ``top``.  ``implicit`` is the implicit filesystem policy the
-    engine derived from the event and the container: 0 for none, else the
-    reason it leads to (``R_PROC_SELF`` for an own procfs/sysfs entry,
-    ``R_PROC_FOREIGN`` for a foreign one, ``R_OVERLAY`` for an overlay the
-    container owns).
+    ``files`` is the policy meta's ``(file_t, tree, dev_t)``: its file and
+    device tables (or None), and the prefix tree of its subdir and
+    filesystem keys (``compiler._prefix_tree``, or None).  The walk goes
+    down the path from ``/`` and stops at the first prefix that is not in
+    the tree, since no key lies below it.  ``implicit`` is the implicit
+    filesystem policy the engine derived from the event and the container:
+    0 for none, else the reason it leads to (``R_PROC_SELF`` for an own
+    procfs/sysfs entry, ``R_PROC_FOREIGN`` for a foreign one, ``R_OVERLAY``
+    for an overlay the container owns).
     """
-    file_t, subdir_t, fs_t, dev_t, top = files
+    file_t, tree, dev_t = files
 
     # every matching entry as (tier, key, entry), most specific first: the
     # file, its subdirs nearest first, the containing filesystem (the longest
@@ -110,34 +109,30 @@ def decide_file_access(files, default_allow, tainted, implicit, path, requested)
         entry = file_t.get(path)
         if entry is not None:
             hits.append((T_FILE, path, entry))
-    # The ancestors top-down, from "/" (0 components) to the deepest one a
-    # key can name: the path's n components less one, or ``top``.  A subdir
-    # rule reaches the path from at most _SUBDIR_REACH levels up; each
-    # subdir hit is inserted where the first one went, so the nearest ends
-    # up first.  A deeper filesystem hit (a longer mountpoint) overwrites a
-    # shallower one.
-    n = path.count("/") if len(path) > 1 else 0
-    first = len(hits)
-    near = n - _SUBDIR_REACH if subdir_t is not None else n
+    # The prefixes top-down, from "/" to the path itself, while the tree
+    # holds them.  A subdir rule reaches the path from at most _SUBDIR_REACH
+    # levels up (the components left below its key) and never the key
+    # itself; each subdir hit is inserted where the first one went, so the
+    # nearest ends up first.  A deeper filesystem hit (a longer mountpoint,
+    # or the path itself) overwrites a shallower one.
     fs_hit = None
-    anc = "/"
-    cut = 0
-    for k in range(n if n <= top else top + 1):
-        if k:
+    if tree is not None:
+        first = len(hits)
+        anc = "/"
+        cut = 0 if len(path) > 1 else -1
+        while True:
+            node = tree.get(anc)
+            if node is None:
+                break
+            subdir, fs = node
+            if fs is not None:
+                fs_hit = (T_FS, anc, fs)
+            if cut < 0:
+                break
+            if subdir is not None and path.count("/", cut) <= _SUBDIR_REACH:
+                hits.insert(first, (T_SUBDIR, anc, subdir))
             cut = path.find("/", cut + 1)
-            anc = path[:cut]
-        if k >= near:
-            entry = subdir_t.get(anc)
-            if entry is not None:
-                hits.insert(first, (T_SUBDIR, anc, entry))
-        if fs_t is not None:
-            entry = fs_t.get(anc)
-            if entry is not None:
-                fs_hit = (T_FS, anc, entry)
-    if fs_t is not None and n <= top:
-        entry = fs_t.get(path)
-        if entry is not None:
-            fs_hit = (T_FS, path, entry)
+            anc = path[:cut] if cut > 0 else path
     if fs_hit is not None:
         hits.append(fs_hit)
     if dev_t is not None and path.startswith("/dev/"):

@@ -287,7 +287,14 @@ def _parse_network_value(value) -> NetCategory:
     if isinstance(value, str):
         names = value.replace(",", " ").split()
     elif isinstance(value, list):
-        names = [str(v) for v in value]
+        for item in value:
+            if not isinstance(item, str):
+                # a YAML item that is no scalar string: ``~``, ``{...}`` or ``[...]``
+                what = ("null" if item is None else "a mapping" if isinstance(item, dict)
+                        else "a list")
+                raise MalformedRule(f"network rule list item must be a category name, "
+                                    f"got {what}")
+        names = value
     else:
         raise MalformedRule(f"network rule value must be a string or list: {value!r}")
     if not names:
@@ -415,10 +422,12 @@ def _load_events(text: str):
             break
         if cls is AliasEvent:
             _refuse(f"an alias *{event.anchor}", event)
-        if event.anchor is not None:
-            _refuse(f"an anchor &{event.anchor}", event)
+        # the tag first: in ``[!, &a y]`` libyaml ends the tag at the comma and
+        # PyYAML takes ``!,`` for it, so only PyYAML's first node has the anchor
         if event.tag is not None:
             _refuse("a tag", event)  # unnamed: libyaml and PyYAML end some tags apart
+        if event.anchor is not None:
+            _refuse(f"an anchor &{event.anchor}", event)
         if cls is ScalarEvent:
             value = event.value
             if event.implicit[0] and value in _NULLS:

@@ -1,6 +1,7 @@
 """Policy lowering: ids, map layout, capacities, and the seal."""
 
 import operator
+import posixpath
 import threading
 from types import MappingProxyType
 
@@ -64,7 +65,7 @@ def test_compile_minimal_policy():
     assert store.count("device") == 1
     rw = int(AccessFlags.READ | AccessFlags.WRITE)
     meta = store.meta(pid)
-    assert meta.files[3] == {int(DeviceKind.TTY): (rw, 0, 0)}
+    assert meta.files[2] == {int(DeviceKind.TTY): (rw, 0, 0)}
     assert meta.name == "hello_minimal"
     assert meta.tainted_from_start
     assert not meta.default_allow
@@ -77,36 +78,62 @@ def test_compile_taint_policy_merges_same_key():
     pid = policy_id("hello_taint")
     rw = int(AccessFlags.READ | AccessFlags.WRITE)
     r = int(AccessFlags.READ)
-    assert store.meta(pid).files[3][int(DeviceKind.TTY)] == (rw, 0, r)
+    assert store.meta(pid).files[2][int(DeviceKind.TTY)] == (rw, 0, r)
     assert not store.meta(pid).tainted_from_start
 
 
-# policy text -> the fifth value of its meta's ``files``: the components of
-# the deepest subdir or filesystem key, which bounds the file kernel's
-# ancestor walk
-WALK_BOUNDS = {
-    "subdir-and-root": ("  - subdir: /a/b/c r\n  - filesystem: / rw\n", 3),
-    "file-rules-only": ("  - file: /a/b/c/d/e r\n  - tty: rw\n", 0),
-    "root-only": ("  - filesystem: / r\n", 0),
-    "several-depths": ("  - subdir: /a r\n  - filesystem: /v/w/x/y rw\n"
-                       "  - subdir: /p/q/ r\n  - file: /a/b/c/d/e/f r\n", 4),
+def _tree(text):
+    """The prefix tree of the one policy ``p`` that ``text`` lists rules for."""
+    store = compile_policies([parse_policy(f"name: p\nentry: /bin/p\n{text}")])
+    return store.meta(policy_id("p")).files[1]
+
+
+_R, _RW = int(AccessFlags.READ), int(AccessFlags.READ | AccessFlags.WRITE)
+_BARE = (None, None)
+# allow rules -> the prefix tree the compiler builds for them: each subdir or
+# filesystem key and each of its ancestors -> (subdir entry, filesystem entry)
+PREFIX_TREES = {
+    "subdir-and-root": ("  - subdir: /a/b/c r\n  - filesystem: / rw\n", {
+        "/": (None, (_RW, 0, 0)), "/a": _BARE, "/a/b": _BARE,
+        "/a/b/c": ((_R, 0, 0), None)}),
+    "root-subdir": ("  - subdir: / r\n", {"/": ((_R, 0, 0), None)}),
+    "one-key-both-kinds": ("  - subdir: /srv r\n  - fs: /srv rw\n", {
+        "/": _BARE, "/srv": ((_R, 0, 0), (_RW, 0, 0))}),
+    "nested-and-siblings": ("  - subdir: /a r\n  - filesystem: /a/b/c rw\n"
+                            "  - subdir: /a/bc/ r\n  - file: /a/b/x/y r\n", {
+        "/": _BARE, "/a": ((_R, 0, 0), None), "/a/b": _BARE,
+        "/a/b/c": (None, (_RW, 0, 0)), "/a/bc": ((_R, 0, 0), None)}),
 }
 
 
-@pytest.mark.parametrize("rules,top", WALK_BOUNDS.values(), ids=WALK_BOUNDS.keys())
-def test_sealed_files_bound_the_ancestor_walk(rules, top):
-    store = compile_policies([parse_policy(f"name: p\nentry: /bin/p\nallow:\n{rules}")])
-    assert store.meta(policy_id("p")).files[4] == top
+@pytest.mark.parametrize("rules,tree", PREFIX_TREES.values(), ids=PREFIX_TREES.keys())
+def test_sealed_files_hold_the_prefix_tree(rules, tree):
+    held = _tree(f"allow:\n{rules}")
+    assert type(held) is MappingProxyType
+    assert dict(held) == tree
 
 
-def test_walk_bound_is_per_policy_and_spans_rule_lists():
+@pytest.mark.parametrize("rules", ["", "allow:\n  - file: /a/b/c r\n  - tty: rw\n",
+                                   "allow:\n  - net: client\n  - cap: kill\n  - ipc: q\n"])
+def test_a_policy_without_subdir_or_filesystem_rules_has_no_tree(rules):
+    assert _tree(rules) is None
+
+
+def test_the_tree_is_per_policy_and_spans_rule_lists():
     store = compile_policies([
         parse_policy("name: deep\nentry: /bin/p\nallow:\n  - subdir: /a r\n"
                      "deny:\n  - filesystem: /a/b w\ntaint:\n  - subdir: /a/b/c/d r\n"),
         parse_policy("name: flat\nentry: /bin/p\nallow:\n  - filesystem: /a rw\n"),
     ])
-    assert store.meta(policy_id("deep")).files[4] == 4
-    assert store.meta(policy_id("flat")).files[4] == 1
+    w = int(AccessFlags.WRITE)
+    assert dict(store.meta(policy_id("deep")).files[1]) == {
+        "/": _BARE, "/a": ((_R, 0, 0), None), "/a/b": (None, (0, w, 0)),
+        "/a/b/c": _BARE, "/a/b/c/d": ((0, 0, _R), None)}
+    assert dict(store.meta(policy_id("flat")).files[1]) == {
+        "/": _BARE, "/a": (None, (_RW, 0, 0))}
+    # equal nodes are one object across the store's policies
+    deep, flat = (store.meta(policy_id(n)).files[1] for n in ("deep", "flat"))
+    assert deep["/"] is deep["/a/b/c"] is flat["/"]
 
 
 def test_capacity_exceeded_by_seventeenth_file_rule():
@@ -139,7 +166,7 @@ def test_seal_semantics():
     assert store.meta(1).files is None  # the tables come with the seal
     store.seal()
     meta = store.meta(1)
-    assert meta.files == ({"/x": (1, 0, 0)}, None, None, None, 0)
+    assert meta.files == ({"/x": (1, 0, 0)}, None, None)
     with pytest.raises(StoreSealed):
         store.merge_rule("file", 1, "/y", allow=1)
     with pytest.raises(StoreSealed):
@@ -216,12 +243,12 @@ def test_sealed_store_is_safe_for_concurrent_readers():
     doc = parse_policy(TAINT_POLICY)
     store = compile_policies([doc])
     pid = policy_id("hello_taint")
-    expected = store.meta(pid).files[3][int(DeviceKind.TTY)]
+    expected = store.meta(pid).files[2][int(DeviceKind.TTY)]
     errors = []
 
     def reader():
         for _ in range(2000):
-            if store.meta(pid).files[3].get(int(DeviceKind.TTY)) != expected:
+            if store.meta(pid).files[2].get(int(DeviceKind.TTY)) != expected:
                 errors.append("inconsistent read")
 
     def writer():
@@ -255,6 +282,12 @@ def _fold(doc):
             for category, table in tables.items()}
 
 
+def _ancestors(key):
+    while key != "/":
+        key = posixpath.dirname(key)
+        yield key
+
+
 def _assert_meta_is_the_store(docs, store):
     """Each policy's sealed meta holds its documents' rules, entry for entry,
     in read-only tables."""
@@ -265,18 +298,27 @@ def _assert_meta_is_the_store(docs, store):
         assert (meta.name, meta.default_allow, meta.tainted_from_start) == (
             doc.name, doc.default is DefaultMode.ALLOW, doc.tainted_from_start)
         tables = _fold(doc)
-        held = dict(zip(("file", "subdir", "filesystem", "device", "ipc", "capability"),
-                        (*meta.files[:4], meta.ipc, meta.capability)))
+        file_t, tree, dev_t = meta.files
+        held = dict(zip(("file", "device", "ipc", "capability"),
+                        (file_t, dev_t, meta.ipc, meta.capability)))
         for category, table in held.items():
-            if not tables[category] and category not in ("ipc", "capability"):
+            if not tables[category] and category in ("file", "device"):
                 assert table is None, category
                 continue
             assert type(table) is MappingProxyType, category
             assert dict(table) == tables[category], category
         assert meta.network == tables["network"].get(None, (0, 0, 0))
-        paths = [*tables["subdir"], *tables["filesystem"]]
-        assert meta.files[4] == max((len([c for c in p.split("/") if c]) for p in paths),
-                                    default=0)
+        # the tree's nodes hold the subdir and filesystem entries, and the
+        # rest of the tree is the keys' ancestors, with neither
+        subdir, fs = tables["subdir"], tables["filesystem"]
+        if not subdir and not fs:
+            assert tree is None
+            continue
+        assert type(tree) is MappingProxyType
+        assert {key: node[0] for key, node in tree.items() if node[0] is not None} == subdir
+        assert {key: node[1] for key, node in tree.items() if node[1] is not None} == fs
+        assert set(tree) == {*subdir, *fs, *(anc for key in (*subdir, *fs)
+                                             for anc in _ancestors(key))}
     metas = {policy_id(doc.name): store.meta(policy_id(doc.name)) for doc in docs}
     store.seal()
     assert {pid: store.meta(pid) for pid in metas} == metas
@@ -305,7 +347,7 @@ def _decisions(docs, store):
         meta = store.meta(policy_id(doc.name))
         state = ContainerState(store)
         state.confine(n + 1, doc.name)
-        paths = {"/etc/shadow", *(key for table in meta.files[:3] if table for key in table)}
+        paths = {"/etc/shadow", *(key for table in meta.files[:2] if table for key in table)}
         events = [FileAccess(n + 1, path, 15) for path in sorted(paths)]
         events += [CapabilityUse(n + 1, name, False) for name in sorted(meta.capability)]
         decisions += [decide(event, state) for event in events]
@@ -324,7 +366,7 @@ def _assert_tables_refuse_edits(docs, store):
     before = _decisions(docs, store)
     for doc in docs:
         meta = store.meta(policy_id(doc.name))
-        for table in (*meta.files[:4], meta.ipc, meta.capability):
+        for table in (*meta.files, meta.ipc, meta.capability):
             if table is None:
                 continue
             key = next(iter(table), "/etc/shadow")

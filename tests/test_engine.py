@@ -380,6 +380,39 @@ def test_longest_mountpoint_is_the_containing_filesystem():
     assert d.stage == "default-mode"
 
 
+NO_RULE = "Deny: no matching rule under default deny"
+_MOUNTS = "fs: / r\n  - fs: /var rw\n  - fs: /var/lib w"
+# the edges of the file kernel's walk down its prefix tree: allow rules, the
+# path, the request, and the explanation of the decision
+WALK_EDGES = {
+    "root-path-under-subdir-root": ("subdir: / rw", "/", "r", NO_RULE),
+    "root-path-under-fs-root": ("filesystem: / r", "/", "r", "Allow: filesystem rule / r"),
+    "subdir-root": ("subdir: / r", "/etc/x", "r", "Allow: subdir rule / r"),
+    "fs-root": ("filesystem: / r", "/etc/x/y", "r", "Allow: filesystem rule / r"),
+    "subdir-key-is-the-path": ("subdir: /srv/data r", "/srv/data", "r", NO_RULE),
+    "fs-key-is-the-path": ("fs: /srv/data r", "/srv/data", "r",
+                           "Allow: filesystem rule /srv/data r"),
+    "subdir-9-levels-up": ("subdir: /a r", "/a" + "/d" * 9, "r", "Allow: subdir rule /a r"),
+    "subdir-10-levels-up": ("subdir: /a r", "/a" + "/d" * 10, "r", NO_RULE),
+    "sibling-decoy": ("subdir: /srv/data r\n  - fs: /srv/data r", "/srv/data2", "r", NO_RULE),
+    "under-a-sibling-decoy": ("subdir: /srv/data r\n  - fs: /srv/data r", "/srv/data2/x", "r",
+                              NO_RULE),
+    "deepest-mount": (_MOUNTS, "/var/lib/x", "w", "Allow: filesystem rule /var/lib w"),
+    "deepest-mount-narrows": (_MOUNTS, "/var/lib/x", "r", NO_RULE),
+    "middle-mount": (_MOUNTS, "/var/log/x", "w", "Allow: filesystem rule /var rw"),
+    "off-the-tree": ("subdir: /a/b/c rw\n  - fs: /a/b/c rw", "/a/b/x", "r", NO_RULE),
+    "off-the-tree-under-a-key": ("subdir: /a r\n  - subdir: /a/b/c rw", "/a/b/x", "r",
+                                 "Allow: subdir rule /a r"),
+}
+
+
+@pytest.mark.parametrize("rules,path,request_,explained", WALK_EDGES.values(),
+                         ids=WALK_EDGES.keys())
+def test_the_walk_edges(rules, path, request_, explained):
+    store, state, _ = _one_container(f"name: p\nentry: /bin/p\nallow:\n  - {rules}\n")
+    assert decide(FileAccess(100, path, parse_access(request_)), state).explain() == explained
+
+
 # --- network ---------------------------------------------------------------------
 
 NET = "name: p\nentry: /bin/p\nallow:\n  - network: {cats}\n"

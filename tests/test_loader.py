@@ -618,7 +618,7 @@ _DEEP = [_HEADER + "allow: " + "[" * n + "]" * n + "\n"
         ["- " * n + "x\n" for n in range(policy._MAX_DEPTH - 2, policy._MAX_DEPTH + 3)]
 _EDGES = ["", "# only a comment\n", "---\n", "...\n", _HEADER + "allow: &r [*r]\n",
           _HEADER + "<<: {allow: [tty: rw]}\n", "name: ! 123\nentry: /bin/sh\n",
-          'name: "p\\ud800"\nentry: /bin/sh\n'] + _DEEP
+          'name: "p\\ud800"\nentry: /bin/sh\n', "x: [!, &a y]\n"] + _DEEP
 _YAML_TEXTS = st.one_of(
     st.builds(
         lambda before, root, block, after: before + _text(root, block) + after,

@@ -180,6 +180,19 @@ def test_network_rule_forms():
         parse_policy("name: x\nentry: /bin/sh\nallow:\n  - network: []\n")
 
 
+# a network list item that is no string is named by its YAML kind, never
+# by the Python text of its value
+@pytest.mark.parametrize("value,what", [
+    ("[~]", "null"), ("[{a: b}]", "a mapping"), ("[[client]]", "a list"),
+    ("[client, ~]", "null"),
+])
+def test_a_network_list_item_must_be_a_category_name(value, what):
+    with pytest.raises(MalformedRule) as exc:
+        parse_policy(f"name: x\nentry: /bin/sh\nallow:\n  - net: {value}\n")
+    assert type(exc.value) is MalformedRule
+    assert str(exc.value) == f"network rule list item must be a category name, got {what}"
+
+
 def test_capability_rule_normalization():
     doc = parse_policy(
         "name: x\nentry: /bin/sh\nallow:\n"

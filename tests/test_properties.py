@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bpfcontain import core
+from bpfcontain.compiler import _prefix_tree
 from bpfcontain.core import (
     R_DENY_RULE,
     R_EXEMPT,
@@ -304,12 +305,11 @@ def file_kernel_inputs(draw):
     file_t, subdir_t, fs_t = path_table(), path_table(), path_table()
     dev_t = draw(st.none() | st.dictionaries(st.sampled_from([int(k) for k in DeviceKind]),
                                              entries, max_size=4))
-    # the deepest subdir or filesystem key's components: its ancestors
-    top = max((len(_lineage(key)) - 1 for table in (subdir_t, fs_t) if table
-               for key in table), default=0)
-    return ((file_t, subdir_t, fs_t, dev_t, top), draw(st.booleans()), draw(st.booleans()),
-            draw(st.sampled_from((0, R_PROC_SELF, R_PROC_FOREIGN, R_OVERLAY))),
-            path, draw(masks))
+    # the drawn tables, and the kernel's arguments over the compiler's tree
+    return ((file_t, subdir_t, fs_t, dev_t),
+            ((file_t, _prefix_tree(subdir_t, fs_t), dev_t), draw(st.booleans()),
+             draw(st.booleans()), draw(st.sampled_from((0, R_PROC_SELF, R_PROC_FOREIGN,
+                                                         R_OVERLAY))), path, draw(masks)))
 
 
 def _expected_hits(file_t, subdir_t, fs_t, dev_t, path):
@@ -331,11 +331,13 @@ def _expected_hits(file_t, subdir_t, fs_t, dev_t, path):
     return hits
 
 
-def _check_provenance(args):
-    (file_t, subdir_t, fs_t, dev_t, _), _, _, implicit, path, requested = args
+def _check_provenance(case):
+    tables, args = case
+    _, _, _, implicit, path, requested = args
     _, code, detail, taint_detail = core.decide_file_access(*args)
-    # the whole lineage, not only the ancestors within the kernel's bound
-    hits = _expected_hits(file_t, subdir_t, fs_t, dev_t, path)
+    # the whole lineage of the drawn tables, not only the prefixes the
+    # kernel's walk down the tree reaches
+    hits = _expected_hits(*tables, path)
 
     def first_meeting(stage):
         return next(((tier, key, entry[stage] & requested) for tier, key, entry in hits
@@ -361,16 +363,16 @@ def _check_provenance(args):
 
 @settings(max_examples=300, deadline=None)
 @given(file_kernel_inputs())
-def test_file_kernel_names_the_most_specific_rule(args):
-    _check_provenance(args)
+def test_file_kernel_names_the_most_specific_rule(case):
+    _check_provenance(case)
 
 
-# the same property over far more table shapes, for the bounded walk
+# the same property over far more table shapes, for the walk that stops early
 @pytest.mark.slow
 @settings(max_examples=5000, deadline=None)
 @given(file_kernel_inputs())
-def test_file_kernel_names_the_most_specific_rule_at_depth(args):
-    _check_provenance(args)
+def test_file_kernel_names_the_most_specific_rule_at_depth(case):
+    _check_provenance(case)
 
 
 # --- a decision names a taint rule only for an untainted container -------------
@@ -378,8 +380,8 @@ def test_file_kernel_names_the_most_specific_rule_at_depth(args):
 
 @settings(max_examples=300, deadline=None)
 @given(file_kernel_inputs())
-def test_the_file_kernel_names_no_taint_rule_for_a_tainted_container(args):
-    files, default_allow, _, implicit, path, requested = args
+def test_the_file_kernel_names_no_taint_rule_for_a_tainted_container(case):
+    _, (files, default_allow, _, implicit, path, requested) = case
     assert core.decide_file_access(files, default_allow, True, implicit, path,
                                    requested)[3] is None
 
