@@ -1,8 +1,9 @@
 """Lower policy documents into per-category, fixed-capacity decision maps.
 
 The compiled store mirrors a kernel-map architecture: one bounded map per
-rule category, keyed by 64-bit policy id, populated once at load and then
-sealed read-only for the lifetime of the engine.
+rule category, keyed by 64-bit policy id, populated once at load and
+read-only for the lifetime of the engine.  ``compile_policies`` is its one
+builder; the store it returns has no mutation API.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import sys
 from types import MappingProxyType
 
-from .errors import CapacityExceeded, CompileError, EmptyName, PolicyIdCollision, StoreSealed
+from .errors import CapacityExceeded, CompileError, EmptyName, PolicyIdCollision
 from .policy import DefaultMode, FrozenValue, PolicyDocument
 
 FNV64_OFFSET_BASIS = 0xCBF29CE484222325
@@ -52,29 +53,29 @@ class MapCapacities(FrozenValue):
 
 
 class PolicyMeta(FrozenValue):
-    """A policy's header and, once its store is sealed, its tables.
+    """A policy's header and its tables, built once by ``compile_policies``.
 
-    ``seal()`` fills the tables: ``files`` is ``(file_t, tree, dev_t)``,
-    ``file_t`` and ``dev_t`` None if the policy has no such rule and ``tree``
-    its ``_prefix_tree``; ``network`` is its category-mask triple; ``ipc``
-    and ``capability`` map a peer policy id or a capability name to its
-    triple.  Every table is a read-only MappingProxyType and the only copy of
-    its rules: it refuses every edit with TypeError, or IndexError for an
-    item edit under an ipc key past the index range.
+    ``files`` is ``(file_t, tree, dev_t)``, ``file_t`` and ``dev_t`` None if
+    the policy has no such rule and ``tree`` its ``_prefix_tree``;
+    ``network`` is its category-mask triple; ``ipc`` and ``capability`` map
+    a peer policy id or a capability name to its triple.  Every table is a
+    read-only MappingProxyType and the only copy of its rules: it refuses
+    every edit with TypeError, or IndexError for an item edit under an ipc
+    key past the index range.
     """
 
     __slots__ = ("name", "default_allow", "tainted_from_start",
                  "files", "network", "ipc", "capability")
 
     def __init__(self, name: str, default_allow: bool, tainted_from_start: bool,
-                 files: tuple | None = None, network: tuple[int, int, int] | None = None,
-                 ipc: dict | None = None, capability: dict | None = None):
+                 files: tuple, network: tuple[int, int, int],
+                 ipc: MappingProxyType, capability: MappingProxyType):
         self._init(name, default_allow, tainted_from_start, files, network, ipc, capability)
 
 
 # the categories keyed below the policy: policy_id -> key -> (allow, deny, taint)
 KEYED_CATEGORIES = tuple(category for category in MAP_CATEGORIES if category != "meta")
-# the ipc, capability or network table of a sealed policy without such rules
+# the ipc or capability table of a policy without such rules
 _NO_RULES = MappingProxyType({})
 
 
@@ -105,89 +106,21 @@ def _prefix_tree(subdir_t, fs_t, nodes=None):
 
 
 class CompiledPolicyStore:
-    """Per-category decision maps with fixed capacities and a one-way seal.
+    """The compiled policies, read-only from the moment ``compile_policies``
+    builds them.
 
     Every category but meta maps policy_id -> key -> an (allow, deny, taint)
     triple: access masks for a path or device, category masks under the one
-    network key None, 1/0 for an ipc peer or a capability.
-    ``seal()`` hands each policy's meta its tables and drops the build
-    state, so the metas are the sealed store: read them with ``meta(pid)``.
-    Mutation after ``seal()`` raises StoreSealed — the read-only-after-load
-    analog.
+    network key None, 1/0 for an ipc peer or a capability.  Each policy's
+    frozen PolicyMeta holds its tables, so the metas are the store: read
+    them with ``meta(pid)``.  ``count(category)`` is how many entries that
+    category's map holds.
     """
 
-    def __init__(self, capacities: MapCapacities | None = None):
-        self.capacities = capacities or MapCapacities()
-        self._sealed = False
-        self._keyed: dict[str, dict[int, dict[object, tuple[int, int, int]]]] = {
-            category: {} for category in KEYED_CATEGORIES
-        }
-        # one object per distinct keyed triple: policies repeat a few many times
-        self._triples: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-        self._meta: dict[int, PolicyMeta] = {}
-        self._ids_by_name: dict[str, int] = {}
-        self._counts = {name: 0 for name in MAP_CATEGORIES}
-
-    # -- loading -------------------------------------------------------------
-
-    def _check_mutable(self):
-        if self._sealed:
-            raise StoreSealed("policy store is sealed")
-
-    def _charge(self, category: str, new_entry: bool):
-        if not new_entry:
-            return
-        limit = getattr(self.capacities, category)
-        if self._counts[category] + 1 > limit:
-            raise CapacityExceeded(category, limit)
-        self._counts[category] += 1
-
-    def put_meta(self, pid: int, meta: PolicyMeta):
-        self._check_mutable()
-        if pid in self._meta:
-            if self._meta[pid].name != meta.name:
-                raise PolicyIdCollision(self._meta[pid].name, meta.name, pid)
-            raise CompileError(f"policy {meta.name!r} is already loaded")
-        self._charge("meta", True)
-        self._meta[pid] = meta
-        self._ids_by_name[meta.name] = pid
-
-    def merge_rule(self, category: str, pid: int, key, allow=0, deny=0, taint=0):
-        """Union the given masks into the (policy, key) entry, creating it if new."""
-        self._check_mutable()
-        per_policy = self._keyed[category].setdefault(pid, {})
-        old = per_policy.get(key)
-        self._charge(category, old is None)
-        a, d, t = old or (0, 0, 0)
-        entry = (a | int(allow), d | int(deny), t | int(taint))
-        per_policy[key] = self._triples.setdefault(entry, entry)
-
-    def seal(self) -> "CompiledPolicyStore":
-        """Freeze the store, give each policy's meta its read-only tables and
-        drop the build state; sealing again does nothing."""
-        if self._sealed:
-            return self
-        self._sealed = True
-        keyed, nodes = self._keyed, {}
-        maps = {category: {pid: MappingProxyType(table) for pid, table in keyed[category].items()}
-                for category in ("file", "device", "ipc", "capability")}
-        for pid, meta in self._meta.items():
-            tree = _prefix_tree(keyed["subdir"].get(pid), keyed["filesystem"].get(pid), nodes)
-            self._meta[pid] = PolicyMeta(
-                meta.name, meta.default_allow, meta.tainted_from_start,
-                files=(maps["file"].get(pid), tree, maps["device"].get(pid)),
-                network=keyed["network"].get(pid, _NO_RULES).get(None, (0, 0, 0)),
-                ipc=maps["ipc"].get(pid, _NO_RULES),
-                capability=maps["capability"].get(pid, _NO_RULES),
-            )
-        del self._keyed, self._triples
-        return self
-
-    # -- queries ---------------------------------------------------------------
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
+    def __init__(self, metas: dict[int, PolicyMeta], counts: dict[str, int]):
+        self._meta = metas
+        self._ids_by_name = {meta.name: pid for pid, meta in metas.items()}
+        self._counts = counts
 
     def count(self, category: str) -> int:
         return self._counts[category]
@@ -203,23 +136,57 @@ def compile_policies(
     docs: list[PolicyDocument],
     capacities: MapCapacities | None = None,
 ) -> CompiledPolicyStore:
-    """Lower documents into a sealed CompiledPolicyStore.
+    """Lower documents into a CompiledPolicyStore, in one pass.
 
     Lowering is lossless with respect to decision behavior: every rule lands
     in exactly one category map, with allow/deny/taint folded into one entry
     per key.  Ipc rules are stored one-directionally under the declaring
     policy; mutuality is a decision-time check so load order never matters.
+    A key new to its policy's table takes one slot of its category's map,
+    and each policy one slot of meta (CapacityExceeded past the limit); a
+    policy whose id is already taken raises PolicyIdCollision, or
+    CompileError when it is the same name loaded twice.
     """
-    store = CompiledPolicyStore(capacities)
+    capacities = capacities or MapCapacities()
+    counts = dict.fromkeys(MAP_CATEGORIES, 0)
+
+    def charge(category):
+        limit = getattr(capacities, category)
+        if counts[category] >= limit:
+            raise CapacityExceeded(category, limit)
+        counts[category] += 1
+
+    metas: dict[int, PolicyMeta] = {}
+    # one object per distinct keyed triple: policies repeat a few many times
+    triples: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    nodes = {}  # the prefix trees' shared nodes
     for doc in docs:
         pid = policy_id(doc.name)
-        store.put_meta(pid, PolicyMeta(
-            name=doc.name,
-            default_allow=doc.default == DefaultMode.ALLOW,
-            tainted_from_start=doc.tainted_from_start,
-        ))
-        for which, rules in (("allow", doc.allow), ("deny", doc.deny), ("taint", doc.taint)):
+        if pid in metas:
+            if metas[pid].name != doc.name:
+                raise PolicyIdCollision(metas[pid].name, doc.name, pid)
+            raise CompileError(f"policy {doc.name!r} is already loaded")
+        charge("meta")
+        tables = {category: {} for category in KEYED_CATEGORIES}
+        for slot, rules in enumerate((doc.allow, doc.deny, doc.taint)):
             for rule in rules:
+                table = tables[rule.category]
                 key = policy_id(rule.key) if rule.category == "ipc" else rule.key
-                store.merge_rule(rule.category, pid, key, **{which: rule.access})
-    return store.seal()
+                entry = table.get(key)
+                if entry is None:
+                    charge(rule.category)
+                    entry = table[key] = [0, 0, 0]
+                entry[slot] |= int(rule.access)
+        t = {category: {key: triples.setdefault(entry, entry)
+                        for key, entry in zip(table, map(tuple, table.values()))}
+             for category, table in tables.items()}
+        metas[pid] = PolicyMeta(
+            doc.name, doc.default == DefaultMode.ALLOW, doc.tainted_from_start,
+            files=(MappingProxyType(t["file"]) if t["file"] else None,
+                   _prefix_tree(t["subdir"], t["filesystem"], nodes),
+                   MappingProxyType(t["device"]) if t["device"] else None),
+            network=t["network"].get(None, (0, 0, 0)),
+            ipc=MappingProxyType(t["ipc"]) if t["ipc"] else _NO_RULES,
+            capability=MappingProxyType(t["capability"]) if t["capability"] else _NO_RULES,
+        )
+    return CompiledPolicyStore(metas, counts)

@@ -83,14 +83,6 @@ class PolicyIdCollision(CompileError):
         self.policy_id = policy_id
 
 
-class StoreSealed(BpfcontainError):
-    """Mutation was attempted on a sealed policy store."""
-
-
-class StoreNotSealed(BpfcontainError):
-    """A ContainerState was built over a store that is still mutable."""
-
-
 # --- container state --------------------------------------------------------
 
 class StateError(BpfcontainError):

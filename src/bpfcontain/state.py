@@ -15,7 +15,6 @@ from .errors import (
     AlreadyConfined,
     ContainerTableFull,
     DuplicatePid,
-    StoreNotSealed,
     UnknownPolicy,
 )
 from .policy import Value
@@ -37,19 +36,17 @@ class Container(Value):
 
 
 class ContainerState:
-    """One run's world: a sealed store and which pids belong to which containers.
+    """One run's world: a compiled store and which pids belong to which containers.
 
-    ``decide`` and ``replay`` read the policy maps from ``store`` alone,
-    so the store must be sealed when the state is built (StoreNotSealed
-    otherwise).  Container ids are a monotonically increasing 64-bit
-    counter, never recycled within a run.  The containers table has a fixed
-    capacity; confine fails rather than evicting when it is full.
+    ``decide`` and ``replay`` read the policy maps from ``store`` alone, and
+    the store has no mutation API, so the two cannot disagree.  Container
+    ids are a monotonically increasing 64-bit counter, never recycled within
+    a run.  The containers table has a fixed capacity; confine fails rather
+    than evicting when it is full.
     """
 
     def __init__(self, store: CompiledPolicyStore,
                  max_containers: int = DEFAULT_CONTAINER_CAPACITY):
-        if not store.sealed:
-            raise StoreNotSealed("a ContainerState needs a sealed store")
         if max_containers <= 0:
             raise ValueError("max_containers must be positive")
         self.store = store

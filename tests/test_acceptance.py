@@ -6,15 +6,16 @@ Run ``pytest tests/test_acceptance.py -v`` — each criterion prints its own
 
 import io
 import itertools
+import operator
 import random
 import sys
 import time
 
 import pytest
 
-from bpfcontain.compiler import MapCapacities, PolicyMeta, compile_policies
+from bpfcontain.compiler import MapCapacities, compile_policies
 from bpfcontain.engine import Verdict, decide
-from bpfcontain.errors import CapacityExceeded, ContainerTableFull, StoreSealed
+from bpfcontain.errors import CapacityExceeded, ContainerTableFull
 from bpfcontain.events import (
     CapabilityUse,
     CommitCreds,
@@ -346,18 +347,35 @@ def test_criterion_6_ipc_truth_table():
 # --- 7. tamper resistance ----------------------------------------------------------------
 
 def test_criterion_7_tamper_resistance():
-    # sealed stores refuse every mutation path
-    store = compile_policies([parse_policy(MINIMAL_POLICY)])
-    for attempt in (
-        lambda: store.put_meta(9, PolicyMeta("x", False, True)),
-        lambda: store.merge_rule("file", 9, "/x", allow=1),
-        lambda: store.merge_rule("device", 9, int(DeviceKind.TTY), deny=1),
-        lambda: store.merge_rule("network", 9, None, allow=1),
-        lambda: store.merge_rule("ipc", 9, 10, allow=1),
-        lambda: store.merge_rule("capability", 9, "CAP_KILL", allow=1),
-    ):
-        with pytest.raises(StoreSealed):
-            attempt()
+    # a compiled store has no mutation API, and nothing it holds takes an edit:
+    # every table refuses an item assignment, through the proxy and through
+    # dict itself, and every meta field refuses assignment (the ipc peer's
+    # id fits an index: the proxy refuses a larger int key with IndexError)
+    store = compile_policies([parse_policy(text) for text in (
+        MINIMAL_POLICY,
+        "name: all\nentry: /bin/all\nallow:\n  - file: /etc/x r\n  - subdir: /srv r\n"
+        "  - fs: /tmp rw\n  - tty: rw\n  - net: client\n  - ipc: web\n"
+        "  - cap: kill\n",
+    )])
+    # no build or seal method: the public names are the three queries
+    assert {name for name in dir(store) if not name.startswith("_")} == {
+        "count", "find_policy", "meta"}
+    metas = [store.meta(store.find_policy(name)) for name in ("hello_minimal", "all")]
+    tables = 0
+    for meta in metas:
+        for table in (*meta.files, meta.ipc, meta.capability):
+            if table is None:
+                continue
+            key = next(iter(table), "/etc/shadow")
+            for setitem in (operator.setitem, dict.__setitem__):
+                with pytest.raises(TypeError):
+                    setitem(table, key, (15, 0, 0))
+            tables += 1
+        for field in meta.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(meta, field, getattr(meta, field))
+    # hello_minimal's device table and empty ipc and capability tables, and all five of all's
+    assert tables == 8
 
     # capacity overflow errors are deterministic at compile...
     rules = "\n".join(f"  - file: /f{i} r" for i in range(17))
@@ -376,7 +394,7 @@ def test_criterion_7_tamper_resistance():
     for _ in range(2):
         with pytest.raises(ContainerTableFull):
             state.confine(2, "hello_minimal")
-    _report(7, True, "post-seal mutation fails; capacity overflows deterministic")
+    _report(7, True, "compiled store and its tables refuse mutation; capacity overflows deterministic")
 
 
 # --- 8. replay throughput ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Policy lowering: ids, map layout, capacities, and the seal."""
+"""Policy lowering: ids, map layout, capacities, and the read-only store."""
 
 import operator
 import posixpath
@@ -7,10 +7,10 @@ from types import MappingProxyType
 
 import pytest
 
+from bpfcontain import compiler
 from bpfcontain.compiler import (
     KEYED_CATEGORIES,
     MAP_CATEGORIES,
-    CompiledPolicyStore,
     MapCapacities,
     PolicyMeta,
     compile_policies,
@@ -22,7 +22,6 @@ from bpfcontain.errors import (
     CompileError,
     EmptyName,
     PolicyIdCollision,
-    StoreSealed,
 )
 from bpfcontain.events import CapabilityUse, FileAccess
 from bpfcontain.policy import AccessFlags, DefaultMode, DeviceKind, parse_policy
@@ -136,22 +135,38 @@ def test_the_tree_is_per_policy_and_spans_rule_lists():
     assert deep["/"] is deep["/a/b/c"] is flat["/"]
 
 
-def test_capacity_exceeded_by_seventeenth_file_rule():
-    rules = "\n".join(f"  - file: /f{i} r" for i in range(17))
-    doc = parse_policy(f"name: x\nentry: /bin/sh\nallow:\n{rules}\n")
+# two distinct keys of each category a policy can hold several of; a policy
+# has one network key (None), and meta has one entry per policy
+CAPACITY_RULES = {
+    "file": ("file: /a r", "file: /b r"),
+    "subdir": ("subdir: /a r", "subdir: /b r"),
+    "filesystem": ("fs: /a r", "fs: /b r"),
+    "device": ("tty: r", "device: random r"),
+    "network": ("net: client",),
+    "ipc": ("ipc: a", "ipc: b"),
+    "capability": ("cap: kill", "cap: CAP_NET_RAW"),
+    "meta": (),
+}
+
+
+@pytest.mark.parametrize("category", MAP_CATEGORIES)
+def test_each_new_key_takes_one_slot_and_counts_span_policies(category):
+    # each policy lists its keys under allow, deny and taint: one slot a key
+    rules = "".join(f"  - {rule}\n" for rule in CAPACITY_RULES[category])
+    lists = "".join(f"{which}:\n{rules}" for which in ("allow", "deny", "taint") if rules)
+    docs = [parse_policy(f"name: p{n}\nentry: /bin/p\n{lists}") for n in range(3)]
+    entries = 3 * (len(CAPACITY_RULES[category]) or 1)
+    store = compile_policies(docs, MapCapacities(**{category: entries}))
+    expected = dict.fromkeys(MAP_CATEGORIES, 0)
+    expected["meta"] = 3
+    expected[category] = entries
+    assert {c: store.count(c) for c in MAP_CATEGORIES} == expected
+    # the last policy's last key is the one past the limit
+    limit = entries - 1
     with pytest.raises(CapacityExceeded) as exc:
-        compile_policies([doc], MapCapacities(file=16))
-    assert exc.value.category == "file"
-
-
-def test_capacity_counts_span_policies():
-    docs = []
-    for n in ("a", "b"):
-        rules = "\n".join(f"  - file: /{n}{i} r" for i in range(9))
-        docs.append(parse_policy(f"name: {n}\nentry: /bin/sh\nallow:\n{rules}\n"))
-    with pytest.raises(CapacityExceeded):
-        compile_policies(docs, MapCapacities(file=16))
-    compile_policies(docs, MapCapacities(file=18))
+        compile_policies(docs, MapCapacities(**{category: limit}))
+    assert (exc.value.category, exc.value.capacity) == (category, limit)
+    assert str(exc.value) == f"capacity exceeded for map {category!r} (limit {limit})"
 
 
 def test_capacities_must_be_positive():
@@ -159,33 +174,12 @@ def test_capacities_must_be_positive():
         MapCapacities(file=0)
 
 
-def test_seal_semantics():
-    store = CompiledPolicyStore()
-    store.put_meta(1, PolicyMeta("p", False, True))
-    store.merge_rule("file", 1, "/x", allow=1)
-    assert store.meta(1).files is None  # the tables come with the seal
-    store.seal()
-    meta = store.meta(1)
-    assert meta.files == ({"/x": (1, 0, 0)}, None, None)
-    with pytest.raises(StoreSealed):
-        store.merge_rule("file", 1, "/y", allow=1)
-    with pytest.raises(StoreSealed):
-        store.merge_rule("file", 1, "/x", deny=2)  # updates fail too
-    with pytest.raises(StoreSealed):
-        store.put_meta(2, PolicyMeta("q", False, True))
-    with pytest.raises(StoreSealed):
-        store.merge_rule("network", 1, None, allow=1)
-    with pytest.raises(StoreSealed):
-        store.merge_rule("ipc", 1, 2, allow=1)
-    with pytest.raises(StoreSealed):
-        store.merge_rule("capability", 1, "CAP_KILL", allow=1)
-    # lookups still work, sealing again is a no-op, and the metas are the
-    # only copy of the tables: no build state outlives the seal
-    assert store.meta(1).files[0]["/x"] == (1, 0, 0)
-    assert store.seal() is store
-    assert store.sealed
-    assert store.meta(1) is meta
-    assert set(vars(store)) == {"capacities", "_sealed", "_meta", "_ids_by_name", "_counts"}
+def test_the_store_is_its_three_queries_and_no_build_state():
+    store = compile_policies([parse_policy("name: p\nentry: /bin/p\nallow:\n  - file: /x r\n")])
+    assert {name for name in dir(store) if not name.startswith("_")} == {
+        "count", "find_policy", "meta"}
+    assert set(vars(store)) == {"_meta", "_ids_by_name", "_counts"}
+    assert store.meta(policy_id("p")).files == ({"/x": (1, 0, 0)}, None, None)
 
 
 def test_compile_is_deterministic():
@@ -198,14 +192,18 @@ def test_compile_is_deterministic():
         assert a.find_policy(doc.name) == b.find_policy(doc.name) == pid
 
 
-def test_policy_id_collision_is_hard_error():
-    store = CompiledPolicyStore()
-    store.put_meta(42, PolicyMeta("a", False, True))
-    with pytest.raises(PolicyIdCollision):
-        store.put_meta(42, PolicyMeta("b", False, True))
+def test_policy_id_collision_is_hard_error(monkeypatch):
+    monkeypatch.setattr(compiler, "policy_id", lambda name: 42)
+    docs = [parse_policy(f"name: {n}\nentry: /bin/{n}\n") for n in ("a", "b")]
+    # refused before the second policy takes a meta slot
+    for capacities in (None, MapCapacities(meta=1)):
+        with pytest.raises(PolicyIdCollision) as exc:
+            compile_policies(docs, capacities)
+        assert str(exc.value) == "policy id collision: 'a' and 'b' both hash to 0x000000000000002a"
+        assert (exc.value.names, exc.value.policy_id) == (("a", "b"), 42)
 
 
-def test_a_policy_loaded_twice_is_refused():
+def test_a_policy_loaded_twice_is_refused(monkeypatch):
     # a second document with a loaded name once merged into the first: its
     # header won, and a default-allow copy turned a default-deny policy open
     deny = parse_policy("name: web\nentry: /bin/web\nallow:\n  - file: /srv r\n")
@@ -214,12 +212,16 @@ def test_a_policy_loaded_twice_is_refused():
         with pytest.raises(CompileError, match="'web'") as exc:
             compile_policies(docs)
         assert type(exc.value) is CompileError
-    store = CompiledPolicyStore()
-    store.put_meta(42, PolicyMeta("a", False, True))
-    with pytest.raises(CompileError, match="'a' is already loaded"):
-        store.put_meta(42, PolicyMeta("a", True, False))
-    assert not store.meta(42).default_allow
-    assert store.count("meta") == 1
+    # refused before the meta slot, and the first document's header is the
+    # only one ever built
+    built = []
+    monkeypatch.setattr(compiler, "PolicyMeta",
+                        lambda *args, **kw: built.append(PolicyMeta(*args, **kw)) or built[-1])
+    with pytest.raises(CompileError) as exc:
+        compile_policies([deny, allow], MapCapacities(meta=1))
+    assert type(exc.value) is CompileError
+    assert str(exc.value) == "policy 'web' is already loaded"
+    assert [(meta.name, meta.default_allow) for meta in built] == [("web", False)]
 
 
 def test_ipc_and_capability_flags():
@@ -254,11 +256,11 @@ def test_sealed_store_is_safe_for_concurrent_readers():
     def writer():
         for _ in range(100):
             try:
-                store.merge_rule("device", pid, 0, allow=8)
-            except StoreSealed:
+                dict.__setitem__(store.meta(pid).files[2], 0, (8, 0, 0))
+            except TypeError:
                 pass
             else:
-                errors.append("mutation succeeded after seal")
+                errors.append("a table took an edit")
 
     threads = [threading.Thread(target=reader) for _ in range(4)]
     threads += [threading.Thread(target=writer) for _ in range(2)]
@@ -289,7 +291,7 @@ def _ancestors(key):
 
 
 def _assert_meta_is_the_store(docs, store):
-    """Each policy's sealed meta holds its documents' rules, entry for entry,
+    """Each policy's meta holds its documents' rules, entry for entry,
     in read-only tables."""
     for doc in docs:
         pid = policy_id(doc.name)
@@ -319,9 +321,6 @@ def _assert_meta_is_the_store(docs, store):
         assert {key: node[1] for key, node in tree.items() if node[1] is not None} == fs
         assert set(tree) == {*subdir, *fs, *(anc for key in (*subdir, *fs)
                                              for anc in _ancestors(key))}
-    metas = {policy_id(doc.name): store.meta(policy_id(doc.name)) for doc in docs}
-    store.seal()
-    assert {pid: store.meta(pid) for pid in metas} == metas
 
 
 _NEW_ENTRY = (15, 0, 0)

@@ -5,9 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from bpfcontain.compiler import CompiledPolicyStore, PolicyMeta, compile_policies
+from bpfcontain.compiler import compile_policies
 from bpfcontain.engine import Verdict, decide
-from bpfcontain.errors import StoreNotSealed
 from bpfcontain.events import (
     CapabilityUse,
     CommitCreds,
@@ -164,20 +163,6 @@ def test_unconfined_pid_passthrough():
     store, state, _ = _one_container(MINIMAL)
     d = decide(FileAccess(999, "/etc/passwd", parse_access("r")), state)
     assert d.verdict is Verdict.UNCONFINED
-
-
-def test_unsealed_store_is_refused():
-    # the seal is checked once, when a state is built over the store
-    store = CompiledPolicyStore()
-    with pytest.raises(StoreNotSealed):
-        ContainerState(store)
-    store.put_meta(7, PolicyMeta("p", False, True))
-    with pytest.raises(StoreNotSealed):
-        ContainerState(store)
-    state = ContainerState(store.seal())
-    state.confine(1, "p")
-    d = decide(FileAccess(1, "/x", parse_access("r")), state)
-    assert d.explain() == "Deny: no matching rule under default deny"
 
 
 # --- implicit filesystem policy ------------------------------------------------

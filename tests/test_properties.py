@@ -303,6 +303,12 @@ def file_kernel_inputs(draw):
         return draw(st.none() | st.dictionaries(st.sampled_from(candidates), entries, max_size=8))
 
     file_t, subdir_t, fs_t = path_table(), path_table(), path_table()
+    # the subdir reach's edges, which a draw over all the candidates seldom
+    # hits: the ancestors 9 levels up (the farthest a subdir rule reaches)
+    # and 10 levels up (the nearest it does not)
+    for anc in _lineage(path)[9:11]:
+        if draw(st.booleans()):
+            subdir_t = {**(subdir_t or {}), anc: draw(entries)}
     dev_t = draw(st.none() | st.dictionaries(st.sampled_from([int(k) for k in DeviceKind]),
                                              entries, max_size=4))
     # the drawn tables, and the kernel's arguments over the compiler's tree
@@ -361,8 +367,21 @@ def _check_provenance(case):
         assert grant is None or requested & ~grant[2]
 
 
+def _subdir_reach_edge(levels):
+    """A tainted container's read, under default deny, of a path 10
+    components deep whose one rule is a subdir read grant ``levels``
+    components up."""
+    path = "/a" * 10
+    subdir_t = {_lineage(path)[levels]: (int(AccessFlags.READ), 0, 0)}
+    return ((None, subdir_t, None, None),
+            ((None, _prefix_tree(subdir_t, None), None), False, True, 0, path,
+             int(AccessFlags.READ)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(file_kernel_inputs())
+@example(_subdir_reach_edge(9))  # the farthest a subdir rule reaches: granted
+@example(_subdir_reach_edge(10))  # one level past it: denied
 def test_file_kernel_names_the_most_specific_rule(case):
     _check_provenance(case)
 

@@ -5,7 +5,13 @@ import itertools
 
 import pytest
 
-from bpfcontain.compiler import DEFAULT_MAP_CAPACITY, MAP_CATEGORIES, MapCapacities, PolicyMeta
+from bpfcontain.compiler import (
+    DEFAULT_MAP_CAPACITY,
+    MAP_CATEGORIES,
+    MapCapacities,
+    compile_policies,
+    policy_id,
+)
 from bpfcontain.events import (
     CapabilityUse,
     CommitCreds,
@@ -41,10 +47,11 @@ RULES = (
     Rule("ipc", "p", 1),
     Rule("capability", "CAP_KILL", 1),
 )
+META = compile_policies([PolicyDocument("p", "/bin/p")]).meta(policy_id("p"))
 FROZEN = RULES + (
     ValidationIssue("error", "DuplicateName", "p", "declared twice"),
     MapCapacities(file=3),
-    PolicyMeta("p", False, True),
+    META,
 )
 MUTABLE = (
     FileAccess(1, "/a", 1),
@@ -102,6 +109,11 @@ def test_frozen_records_refuse_assignment_and_hash_by_their_fields(rec):
         delattr(rec, name)
     assert getattr(rec, name) is before
     copy = type(rec)(*_values(rec))
+    if rec is META:
+        # its ipc and capability tables are read-only dicts, unhashable as a dict is
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(rec)
+        return
     assert hash(copy) == hash(rec) and len({rec, copy}) == 1
 
 
