@@ -10,7 +10,6 @@ from .compiler import (
     CompiledPolicyStore,
     MapCapacities,
     compile_policies,
-    policy_id,
 )
 from .engine import Decision, Verdict, decide
 from .errors import BpfcontainError
@@ -95,7 +94,6 @@ __all__ = [
     "parse_access",
     "parse_policy",
     "parse_trace",
-    "policy_id",
     "replay",
     "validate_policy_set",
     "write_trace",

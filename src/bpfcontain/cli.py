@@ -122,11 +122,19 @@ def _load_policies(args):
 
 
 def cmd_lint(args) -> int:
+    """Report the policy set's issues and, when none is an error, what
+    compiling it under the ``--capacity`` maps refuses, as ``run`` would."""
     docs, issues = _load_policies(args)
     for issue in issues:
         print(str(issue))
     errors = sum(1 for i in issues if i.severity == "error")
     warnings = len(issues) - errors
+    if not errors:
+        try:
+            compile_policies(docs, _capacities(args)[0])
+        except CompileError as exc:
+            print(f"error: {exc}")
+            errors = 1
     print(f"{len(docs)} policies, {errors} error(s), {warnings} warning(s)")
     return EXIT_POLICY if errors else EXIT_OK
 
@@ -250,7 +258,7 @@ def cmd_run(args) -> int:
 
 def cmd_explain(args) -> int:
     store, containers, _ = _compile_for_run(args)
-    if store.find_policy(args.policy) is None:
+    if store.meta(args.policy) is None:
         raise _Fail(EXIT_POLICY, f"error: no loaded policy named {args.policy!r}")
     try:
         obj = json.loads(args.event)

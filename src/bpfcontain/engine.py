@@ -224,11 +224,11 @@ def _finish(verdict: int, code: int, detail, container: Container, policy: str,
 
 
 def decide(event: HookEvent, state: ContainerState) -> Decision:
-    """Decide one mediated event against the state and its sealed store."""
+    """Decide one mediated event against the state and the policy its container holds."""
     container = state.lookup(event.pid)
     if container is None:
         return _UNCONFINED
-    meta = state.store.meta(container.policy_id)
+    meta = container.meta
 
     # hot kinds first; the hardening family below is enforced regardless of
     # taint state or default mode
@@ -294,13 +294,12 @@ def _decide_ipc(event: IpcOp, container: Container, meta: PolicyMeta,
     if peer.container_id == cid:
         return Decision(V_ALLOW, R_IPC_SAME, None, cid, my_name)
 
-    allow, deny, taint = meta.ipc.get(peer.policy_id, _NO_RULE)
+    peer_name = peer.meta.name
+    allow, deny, taint = meta.ipc.get(peer_name, _NO_RULE)
     if not container.tainted and not taint:
         return Decision(V_ALLOW, R_EXEMPT, None, cid, my_name)
-    peer_meta = state.store.meta(peer.policy_id)
-    peer_name = peer_meta.name
     taint_detail = None if container.tainted else (T_IPC, peer_name, 0)
-    peer_allow, peer_deny, _ = peer_meta.ipc.get(container.policy_id, _NO_RULE)
+    peer_allow, peer_deny, _ = peer.meta.ipc.get(my_name, _NO_RULE)
     if deny or peer_deny:
         code = R_IPC_DENY_RULE
     elif not allow:

@@ -74,15 +74,6 @@ class CapacityExceeded(CompileError):
         self.capacity = capacity
 
 
-class PolicyIdCollision(CompileError):
-    def __init__(self, name_a: str, name_b: str, policy_id: int):
-        super().__init__(
-            f"policy id collision: {name_a!r} and {name_b!r} both hash to {policy_id:#018x}"
-        )
-        self.names = (name_a, name_b)
-        self.policy_id = policy_id
-
-
 # --- container state --------------------------------------------------------
 
 class StateError(BpfcontainError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .compiler import CompiledPolicyStore
+from .compiler import CompiledPolicyStore, PolicyMeta
 from .errors import (
     AlreadyConfined,
     ContainerTableFull,
@@ -23,12 +23,12 @@ DEFAULT_CONTAINER_CAPACITY = 1024
 
 
 class Container(Value):
-    __slots__ = ("container_id", "policy_id", "tainted", "mount_ns", "ipc_ns", "pid_set")
+    __slots__ = ("container_id", "meta", "tainted", "mount_ns", "ipc_ns", "pid_set")
 
-    def __init__(self, container_id: int, policy_id: int, tainted: bool,
+    def __init__(self, container_id: int, meta: PolicyMeta, tainted: bool,
                  mount_ns: int = 0, ipc_ns: int = 0, pid_set: set[int] | None = None):
         self.container_id = container_id
-        self.policy_id = policy_id
+        self.meta = meta
         self.tainted = tainted
         self.mount_ns = mount_ns
         self.ipc_ns = ipc_ns
@@ -38,8 +38,10 @@ class Container(Value):
 class ContainerState:
     """One run's world: a compiled store and which pids belong to which containers.
 
-    ``decide`` and ``replay`` read the policy maps from ``store`` alone, and
-    the store has no mutation API, so the two cannot disagree.  Container
+    ``confine`` reads a policy's PolicyMeta from ``store`` once and the
+    container holds it, so ``decide`` and ``replay`` read each event's
+    policy with no store lookup; the store has no mutation API, so the
+    container's meta is the store's.  Container
     ids are a monotonically increasing 64-bit counter, never recycled within
     a run.  The containers table has a fixed capacity; confine fails rather
     than evicting when it is full.
@@ -67,15 +69,14 @@ class ContainerState:
         """
         if pid in self.processes:
             raise AlreadyConfined(pid)
-        policy = self.store.find_policy(policy_name)
-        if policy is None:
+        meta = self.store.meta(policy_name)
+        if meta is None:
             raise UnknownPolicy(policy_name)
         if len(self.containers) >= self.max_containers:
             raise ContainerTableFull(self.max_containers)
-        meta = self.store.meta(policy)
         container = Container(
             container_id=next(self._ids),
-            policy_id=policy,
+            meta=meta,
             tainted=meta.tainted_from_start,
             mount_ns=mount_ns,
             ipc_ns=ipc_ns,

@@ -346,8 +346,10 @@ def _priv_level(obj, key: str, seq) -> PrivLevel:
     if "uid" not in value:
         raise MalformedEvent(seq, f"missing field '{key}.uid'")
     uid = _int(value["uid"], f"{key}.uid", seq)
-    caps = value.get("capability_set", [])
-    if not isinstance(caps, list) or any(not isinstance(c, str) for c in caps):
+    caps = value.get("capability_set")
+    if caps is None:
+        caps = []
+    elif not isinstance(caps, list) or any(not isinstance(c, str) for c in caps):
         raise MalformedEvent(seq, f"{key}.capability_set must be a list of strings")
     for cap in caps:
         if cap not in CAPABILITIES:
@@ -377,7 +379,8 @@ def _parse_file_access(obj: dict, seq: int) -> FileAccess:
             requested = int(parse_access(_need(obj, "requested", str, seq)))
         except BadAccessFlags as exc:
             raise MalformedEvent(seq, f"bad requested flags: {exc}") from exc
-    fs_kind = _enum_field(obj, "fs_kind", _FS_KINDS, seq) if "fs_kind" in obj else _REGULAR
+    fs_kind = obj.get("fs_kind")
+    fs_kind = _REGULAR if fs_kind is None else _enum_field(obj, "fs_kind", _FS_KINDS, seq)
     owner_ns = obj.get("owner_mount_ns")
     if owner_ns is not None:
         owner_ns = _int(owner_ns, "owner_mount_ns", seq, _U64_MAX)
@@ -445,8 +448,9 @@ def _parse_confine(obj: dict, seq: int) -> Confine:
     mount_ns = ipc_ns = 0
     if obj.get("ns_info") is not None:
         ns = _object_field(obj, "ns_info", {"mount_ns", "ipc_ns"}, seq)
-        mount_ns = _int(ns.get("mount_ns", 0), "ns_info.mount_ns", seq, _U64_MAX)
-        ipc_ns = _int(ns.get("ipc_ns", 0), "ns_info.ipc_ns", seq, _U64_MAX)
+        mount_ns, ipc_ns = ns.get("mount_ns"), ns.get("ipc_ns")
+        mount_ns = 0 if mount_ns is None else _int(mount_ns, "ns_info.mount_ns", seq, _U64_MAX)
+        ipc_ns = 0 if ipc_ns is None else _int(ipc_ns, "ns_info.ipc_ns", seq, _U64_MAX)
     return Confine(pid, name, mount_ns, ipc_ns)
 
 
@@ -664,7 +668,7 @@ def replay(events: Iterable[TraceEvent], state: ContainerState,
             if removed is not None:
                 cid = removed.container_id
                 append(_new(AuditRecord, (seq, ev, O_REMOVED, R_REMOVED, cid, cid,
-                                          state.store.meta(removed.policy_id).name, None)))
+                                          removed.meta.name, None)))
         else:
             raise TypeError(f"replay() cannot apply event {ev!r}")
 

@@ -349,18 +349,16 @@ def test_criterion_6_ipc_truth_table():
 def test_criterion_7_tamper_resistance():
     # a compiled store has no mutation API, and nothing it holds takes an edit:
     # every table refuses an item assignment, through the proxy and through
-    # dict itself, and every meta field refuses assignment (the ipc peer's
-    # id fits an index: the proxy refuses a larger int key with IndexError)
+    # dict itself, and every meta field refuses assignment
     store = compile_policies([parse_policy(text) for text in (
         MINIMAL_POLICY,
         "name: all\nentry: /bin/all\nallow:\n  - file: /etc/x r\n  - subdir: /srv r\n"
         "  - fs: /tmp rw\n  - tty: rw\n  - net: client\n  - ipc: web\n"
         "  - cap: kill\n",
     )])
-    # no build or seal method: the public names are the three queries
-    assert {name for name in dir(store) if not name.startswith("_")} == {
-        "count", "find_policy", "meta"}
-    metas = [store.meta(store.find_policy(name)) for name in ("hello_minimal", "all")]
+    # no build or seal method: the public names are the two queries
+    assert {name for name in dir(store) if not name.startswith("_")} == {"count", "meta"}
+    metas = [store.meta(name) for name in ("hello_minimal", "all")]
     tables = 0
     for meta in metas:
         for table in (*meta.files, meta.ipc, meta.capability):

@@ -42,6 +42,21 @@ def test_lint_warnings_do_not_fail(tmp_path, capsys):
     assert "DanglingIpcPeer" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, policies", [(("--capacity", "meta=1"), 2), ((), 257)],
+                         ids=["meta=1", "default-capacities"])
+def test_lint_refuses_what_run_refuses_at_compile(tmp_path, capsys, flags, policies):
+    for n in range(policies):
+        (tmp_path / f"p{n}.yml").write_text(f"name: p{n}\nentry: /bin/p\nallow:\n  - tty: r\n")
+    limit = 1 if flags else 256
+    line = f"error: capacity exceeded for map 'meta' (limit {limit})"
+    assert run_cli("--policy-dir", str(tmp_path), *flags, "lint") == 1
+    assert capsys.readouterr().out == f"{line}\n{policies} policies, 1 error(s), 0 warning(s)\n"
+    trace = tmp_path / "h.jsonl"
+    trace.write_text('{"format": 1}\n')
+    assert run_cli("--policy-dir", str(tmp_path), *flags, "run", "--trace", str(trace)) == 1
+    assert capsys.readouterr().err == f"{line}\n"
+
+
 def test_lint_missing_directory(tmp_path):
     assert run_cli("--policy-dir", str(tmp_path / "nope"), "lint") == 2
 

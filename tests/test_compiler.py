@@ -1,4 +1,4 @@
-"""Policy lowering: ids, map layout, capacities, and the read-only store."""
+"""Policy lowering: names, map layout, capacities, and the read-only store."""
 
 import operator
 import posixpath
@@ -14,56 +14,27 @@ from bpfcontain.compiler import (
     MapCapacities,
     PolicyMeta,
     compile_policies,
-    policy_id,
 )
 from bpfcontain.engine import Verdict, decide
 from bpfcontain.errors import (
     CapacityExceeded,
     CompileError,
     EmptyName,
-    PolicyIdCollision,
 )
 from bpfcontain.events import CapabilityUse, FileAccess
-from bpfcontain.policy import AccessFlags, DefaultMode, DeviceKind, parse_policy
+from bpfcontain.policy import AccessFlags, DefaultMode, DeviceKind, PolicyDocument, parse_policy
 from bpfcontain.state import ContainerState
 
 from conftest import MINIMAL_POLICY, TAINT_POLICY
 from corpus import enumerate_policies, workloads
 
-# FNV-1a 64 golden values, computed once with the reference byte loop
-GOLDEN_IDS = {
-    "hello_minimal": 0xD386E44883176ACF,
-    "hello_taint": 0xFC9D499C5986FFF4,
-    "x": 0xAF63F54C86021707,
-}
-
-
-def test_policy_id_deterministic():
-    assert policy_id("x") == policy_id("x")
-
-
-def test_policy_id_distinct_names():
-    assert policy_id("hello_minimal") != policy_id("hello_taint")
-
-
-@pytest.mark.parametrize("name,expected", sorted(GOLDEN_IDS.items()))
-def test_policy_id_golden(name, expected):
-    assert policy_id(name) == expected
-
-
-def test_policy_id_rejects_empty():
-    with pytest.raises(EmptyName):
-        policy_id("")
-
-
 def test_compile_minimal_policy():
     doc = parse_policy(MINIMAL_POLICY)
     store = compile_policies([doc], MapCapacities(**{c: 16 for c in (
         "file", "subdir", "filesystem", "device", "network", "ipc", "capability", "meta")}))
-    pid = policy_id("hello_minimal")
     assert store.count("device") == 1
     rw = int(AccessFlags.READ | AccessFlags.WRITE)
-    meta = store.meta(pid)
+    meta = store.meta("hello_minimal")
     assert meta.files[2] == {int(DeviceKind.TTY): (rw, 0, 0)}
     assert meta.name == "hello_minimal"
     assert meta.tainted_from_start
@@ -73,18 +44,17 @@ def test_compile_minimal_policy():
 def test_compile_taint_policy_merges_same_key():
     # allow rw and taint r land in one entry under the same (policy, tty) key
     doc = parse_policy(TAINT_POLICY)
-    store = compile_policies([doc])
-    pid = policy_id("hello_taint")
+    meta = compile_policies([doc]).meta("hello_taint")
     rw = int(AccessFlags.READ | AccessFlags.WRITE)
     r = int(AccessFlags.READ)
-    assert store.meta(pid).files[2][int(DeviceKind.TTY)] == (rw, 0, r)
-    assert not store.meta(pid).tainted_from_start
+    assert meta.files[2][int(DeviceKind.TTY)] == (rw, 0, r)
+    assert not meta.tainted_from_start
 
 
 def _tree(text):
     """The prefix tree of the one policy ``p`` that ``text`` lists rules for."""
     store = compile_policies([parse_policy(f"name: p\nentry: /bin/p\n{text}")])
-    return store.meta(policy_id("p")).files[1]
+    return store.meta("p").files[1]
 
 
 _R, _RW = int(AccessFlags.READ), int(AccessFlags.READ | AccessFlags.WRITE)
@@ -125,13 +95,13 @@ def test_the_tree_is_per_policy_and_spans_rule_lists():
         parse_policy("name: flat\nentry: /bin/p\nallow:\n  - filesystem: /a rw\n"),
     ])
     w = int(AccessFlags.WRITE)
-    assert dict(store.meta(policy_id("deep")).files[1]) == {
+    assert dict(store.meta("deep").files[1]) == {
         "/": _BARE, "/a": ((_R, 0, 0), None), "/a/b": (None, (0, w, 0)),
         "/a/b/c": _BARE, "/a/b/c/d": ((0, 0, _R), None)}
-    assert dict(store.meta(policy_id("flat")).files[1]) == {
+    assert dict(store.meta("flat").files[1]) == {
         "/": _BARE, "/a": (None, (_RW, 0, 0))}
     # equal nodes are one object across the store's policies
-    deep, flat = (store.meta(policy_id(n)).files[1] for n in ("deep", "flat"))
+    deep, flat = (store.meta(n).files[1] for n in ("deep", "flat"))
     assert deep["/"] is deep["/a/b/c"] is flat["/"]
 
 
@@ -174,12 +144,12 @@ def test_capacities_must_be_positive():
         MapCapacities(file=0)
 
 
-def test_the_store_is_its_three_queries_and_no_build_state():
+def test_the_store_is_its_two_queries_and_no_build_state():
     store = compile_policies([parse_policy("name: p\nentry: /bin/p\nallow:\n  - file: /x r\n")])
-    assert {name for name in dir(store) if not name.startswith("_")} == {
-        "count", "find_policy", "meta"}
-    assert set(vars(store)) == {"_meta", "_ids_by_name", "_counts"}
-    assert store.meta(policy_id("p")).files == ({"/x": (1, 0, 0)}, None, None)
+    assert {name for name in dir(store) if not name.startswith("_")} == {"count", "meta"}
+    assert set(vars(store)) == {"_meta", "_counts"}
+    assert store.meta("p").files == ({"/x": (1, 0, 0)}, None, None)
+    assert store.meta("unknown") is None
 
 
 def test_compile_is_deterministic():
@@ -187,20 +157,14 @@ def test_compile_is_deterministic():
     a = compile_policies(docs)
     b = compile_policies(docs)
     for doc in docs:
-        pid = policy_id(doc.name)
-        assert a.meta(pid) == b.meta(pid)
-        assert a.find_policy(doc.name) == b.find_policy(doc.name) == pid
+        assert a.meta(doc.name) == b.meta(doc.name)
 
 
-def test_policy_id_collision_is_hard_error(monkeypatch):
-    monkeypatch.setattr(compiler, "policy_id", lambda name: 42)
-    docs = [parse_policy(f"name: {n}\nentry: /bin/{n}\n") for n in ("a", "b")]
-    # refused before the second policy takes a meta slot
+def test_an_empty_name_is_refused_before_its_meta_slot():
     for capacities in (None, MapCapacities(meta=1)):
-        with pytest.raises(PolicyIdCollision) as exc:
-            compile_policies(docs, capacities)
-        assert str(exc.value) == "policy id collision: 'a' and 'b' both hash to 0x000000000000002a"
-        assert (exc.value.names, exc.value.policy_id) == (("a", "b"), 42)
+        with pytest.raises(EmptyName, match="policy name must be a non-empty string"):
+            compile_policies([parse_policy(MINIMAL_POLICY), PolicyDocument("", "/bin/x")],
+                             capacities)
 
 
 def test_a_policy_loaded_twice_is_refused(monkeypatch):
@@ -231,32 +195,33 @@ def test_ipc_and_capability_flags():
         "taint:\n  - ipc: b\n"
     )
     store = compile_policies([doc])
-    pid, peer = policy_id("a"), policy_id("b")
-    meta = store.meta(pid)
-    assert meta.ipc == {peer: (1, 0, 1)}
+    meta = store.meta("a")
+    # keyed by the peer's name, though no loaded policy has it
+    assert meta.ipc == {"b": (1, 0, 1)}
+    assert store.meta("b") is None
     assert meta.capability == {"CAP_KILL": (1, 0, 0)}
     assert meta.capability.get("CAP_SYS_ADMIN") is None
     # a policy without ipc or capability rules gets empty tables
-    bare = compile_policies([parse_policy(MINIMAL_POLICY)]).meta(policy_id("hello_minimal"))
+    bare = compile_policies([parse_policy(MINIMAL_POLICY)]).meta("hello_minimal")
     assert bare.ipc == bare.capability == {}
 
 
 def test_sealed_store_is_safe_for_concurrent_readers():
     doc = parse_policy(TAINT_POLICY)
     store = compile_policies([doc])
-    pid = policy_id("hello_taint")
-    expected = store.meta(pid).files[2][int(DeviceKind.TTY)]
+    meta = store.meta("hello_taint")
+    expected = meta.files[2][int(DeviceKind.TTY)]
     errors = []
 
     def reader():
         for _ in range(2000):
-            if store.meta(pid).files[2].get(int(DeviceKind.TTY)) != expected:
+            if store.meta("hello_taint").files[2].get(int(DeviceKind.TTY)) != expected:
                 errors.append("inconsistent read")
 
     def writer():
         for _ in range(100):
             try:
-                dict.__setitem__(store.meta(pid).files[2], 0, (8, 0, 0))
+                dict.__setitem__(meta.files[2], 0, (8, 0, 0))
             except TypeError:
                 pass
             else:
@@ -273,12 +238,11 @@ def test_sealed_store_is_safe_for_concurrent_readers():
 
 def _fold(doc):
     """The document's rules as per-category tables of (allow, deny, taint),
-    an ipc peer keyed by its policy id."""
+    each under its rule's own key."""
     tables = {category: {} for category in KEYED_CATEGORIES}
     for slot, rules in enumerate((doc.allow, doc.deny, doc.taint)):
         for rule in rules:
-            key = policy_id(rule.key) if rule.category == "ipc" else rule.key
-            entry = tables[rule.category].setdefault(key, [0, 0, 0])
+            entry = tables[rule.category].setdefault(rule.key, [0, 0, 0])
             entry[slot] |= int(rule.access)
     return {category: {key: tuple(entry) for key, entry in table.items()}
             for category, table in tables.items()}
@@ -294,9 +258,7 @@ def _assert_meta_is_the_store(docs, store):
     """Each policy's meta holds its documents' rules, entry for entry,
     in read-only tables."""
     for doc in docs:
-        pid = policy_id(doc.name)
-        meta = store.meta(pid)
-        assert store.find_policy(doc.name) == pid
+        meta = store.meta(doc.name)
         assert (meta.name, meta.default_allow, meta.tainted_from_start) == (
             doc.name, doc.default is DefaultMode.ALLOW, doc.tainted_from_start)
         tables = _fold(doc)
@@ -343,7 +305,7 @@ def _decisions(docs, store):
     ``/etc/shadow``, each in a fresh container."""
     decisions = []
     for n, doc in enumerate(docs):
-        meta = store.meta(policy_id(doc.name))
+        meta = store.meta(doc.name)
         state = ContainerState(store)
         state.confine(n + 1, doc.name)
         paths = {"/etc/shadow", *(key for table in meta.files[:2] if table for key in table)}
@@ -353,10 +315,10 @@ def _decisions(docs, store):
     return decisions
 
 
-def _refused(edit, *args, errors=TypeError):
+def _refused(edit, *args):
     try:
         edit(*args)
-    except errors:
+    except TypeError:
         return True
     return False
 
@@ -364,7 +326,7 @@ def _refused(edit, *args, errors=TypeError):
 def _assert_tables_refuse_edits(docs, store):
     before = _decisions(docs, store)
     for doc in docs:
-        meta = store.meta(policy_id(doc.name))
+        meta = store.meta(doc.name)
         for table in (*meta.files, meta.ipc, meta.capability):
             if table is None:
                 continue
@@ -374,12 +336,9 @@ def _assert_tables_refuse_edits(docs, store):
                 # the table's own method, where it has one, refuses too
                 method = getattr(table, name, None)
                 assert method is None or _refused(method, *args(key)), name
-            # ``table[key] = ...`` and ``del table[key]``: the proxy raises
-            # IndexError for an int key past the index range, as half of all
-            # policy ids are, and TypeError otherwise
-            assert _refused(operator.setitem, table, key, _NEW_ENTRY,
-                            errors=(TypeError, IndexError))
-            assert _refused(operator.delitem, table, key, errors=(TypeError, IndexError))
+            # ``table[key] = ...`` and ``del table[key]``
+            assert _refused(operator.setitem, table, key, _NEW_ENTRY)
+            assert _refused(operator.delitem, table, key)
     assert _decisions(docs, store) == before
 
 
@@ -388,7 +347,7 @@ def test_the_readme_shadow_edit_is_refused():
     store = compile_policies([doc])
     state = ContainerState(store)
     state.confine(1, "web")
-    meta = store.meta(policy_id("web"))
+    meta = store.meta("web")
     shadow = FileAccess(1, "/etc/shadow", int(AccessFlags.READ))
     assert decide(shadow, state).verdict is Verdict.DENY
     with pytest.raises(TypeError):

@@ -288,8 +288,8 @@ def test_fallback_lint_matches(policy_dir):
         (normal.returncode, normal.stdout, normal.stderr)
 
 
-# as a policy name or an ipc peer, it crashed policy_id in ``run`` after
-# ``lint`` had passed it
+# as a policy name or an ipc peer, it once crashed ``run`` after ``lint``
+# had passed it
 @pytest.mark.parametrize("case", ["name", "ipc"])
 def test_fallback_refuses_a_surrogate_escape(tmp_path, case):
     text = SURROGATE_ESCAPES[case]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bpfcontain.compiler import compile_policies, policy_id
+from bpfcontain.compiler import compile_policies
 from bpfcontain.errors import (
     BadAccessFlags,
     BadNetworkCategory,
@@ -240,7 +240,7 @@ def test_tty_and_device_tty_compile_to_equal_metas(tty):
     metas = []
     for rule in (tty, "device: tty rw"):
         store = compile_policies([parse_policy(f"name: x\nentry: /bin/sh\nallow:\n  - {rule}\n")])
-        metas.append(store.meta(policy_id("x")))
+        metas.append(store.meta("x"))
     assert metas[0] == metas[1]
 
 

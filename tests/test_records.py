@@ -10,7 +10,6 @@ from bpfcontain.compiler import (
     MAP_CATEGORIES,
     MapCapacities,
     compile_policies,
-    policy_id,
 )
 from bpfcontain.events import (
     CapabilityUse,
@@ -47,7 +46,7 @@ RULES = (
     Rule("ipc", "p", 1),
     Rule("capability", "CAP_KILL", 1),
 )
-META = compile_policies([PolicyDocument("p", "/bin/p")]).meta(policy_id("p"))
+META = compile_policies([PolicyDocument("p", "/bin/p")]).meta("p")
 FROZEN = RULES + (
     ValidationIssue("error", "DuplicateName", "p", "declared twice"),
     MapCapacities(file=3),
@@ -66,7 +65,7 @@ MUTABLE = (
     Fork(1, 2),
     Exit(1),
     PolicyDocument("p", "/bin/p"),
-    Container(1, 2, False),
+    Container(1, META, False),
 )
 
 
@@ -136,7 +135,7 @@ def test_mutable_defaults_are_not_shared():
     a, b = PolicyDocument("a", "/bin/a"), PolicyDocument("b", "/bin/b")
     a.allow.append(RULES[0])
     assert b.allow == [] and b.deny == [] and b.taint == []
-    c, d = Container(1, 1, False), Container(2, 1, False)
+    c, d = Container(1, META, False), Container(2, META, False)
     c.pid_set.add(7)
     assert d.pid_set == set()
 

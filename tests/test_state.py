@@ -17,11 +17,13 @@ def test_confine_minimal_is_tainted_from_start(example_state):
     c = example_state.confine(100, "hello_minimal")
     assert c.tainted
     assert c.pid_set == {100}
+    assert c.meta is example_state.store.meta("hello_minimal")
 
 
 def test_confine_taint_policy_starts_untainted(example_state):
     c = example_state.confine(100, "hello_taint")
     assert not c.tainted
+    assert c.meta is example_state.store.meta("hello_taint")
 
 
 def test_reconfinement_is_denied(example_state):

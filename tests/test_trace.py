@@ -445,6 +445,33 @@ def test_a_regular_file_access_leaves_out_its_defaults():
     assert parse_trace_object(obj) == te
 
 
+# every optional trace field: a wire object that leaves it out, and the
+# field's path in that object
+_OPTIONAL_FIELDS = [
+    ({"seq": 1, "kind": "FileAccess", "pid": 1, "path": "/x", "requested": "r"}, path)
+    for path in (("fs_kind",), ("owner_mount_ns",), ("proc_subject_pid",))
+] + [
+    ({"seq": 1, "kind": "confine", "pid": 1, "policy_name": "p", "ns_info": {}}, path)
+    for path in (("ns_info",), ("ns_info", "mount_ns"), ("ns_info", "ipc_ns"))
+] + [
+    ({"seq": 1, "kind": "CommitCreds", "pid": 1, "old_priv": {"uid": 1},
+      "new_priv": {"uid": 0}}, (which, "capability_set"))
+    for which in ("old_priv", "new_priv")
+]
+
+
+@pytest.mark.parametrize("obj, path", _OPTIONAL_FIELDS,
+                         ids=[f"{obj['kind']}-{'.'.join(path)}" for obj, path in _OPTIONAL_FIELDS])
+def test_a_null_optional_field_is_the_field_left_out(obj, path):
+    with_null = json.loads(json.dumps(obj))
+    *parents, field = path
+    target = with_null
+    for name in parents:
+        target = target[name]
+    target[field] = None
+    assert parse_trace_object(with_null) == parse_trace_object(obj)
+
+
 # every bounded trace integer: a wire object with ``v`` in that field, its
 # name, and its kernel width in bits
 _WIDE_FIELDS = [
