@@ -89,13 +89,11 @@ R_CAP_DENY_RULE = 24
 R_CAP_ALLOW_RULE = 25
 R_CAP_NOT_POSSESSED = 26
 R_CAP_NO_RULE = 27
+R_KILLED_EVENT = 28
 # lifecycle outcomes, audited by the replay rather than decided here
-R_CREATED = 28
-R_REMOVED = 29
-R_STATE_ERROR = 30
-R_KILLED_CONFINE = 31
-R_KILLED_FORK = 32
-R_KILLED_EVENT = 33
+R_CREATED = 29
+R_REMOVED = 30
+R_STATE_ERROR = 31
 
 # reason code -> (stage, text); ``{detail}`` is the decision's detail and
 # ``{policy}`` its policy name.  Rule hits and the default mode are worded
@@ -128,12 +126,10 @@ _REASONS = {
     R_CAP_ALLOW_RULE: ("explicit-allow", "capability rule {detail}"),
     R_CAP_NOT_POSSESSED: ("capability-mask", "capability {detail} not possessed"),
     R_CAP_NO_RULE: ("capability-mask", "capability mask, no rule for {detail}"),
+    R_KILLED_EVENT: ("lifecycle", "warning: event from pid killed earlier in trace"),
     R_CREATED: ("lifecycle", "container {detail} created"),
     R_REMOVED: ("lifecycle", "container {detail} removed"),
     R_STATE_ERROR: ("lifecycle", "{detail}"),
-    R_KILLED_CONFINE: ("lifecycle", "confine refused: pid was killed earlier in trace"),
-    R_KILLED_FORK: ("lifecycle", "fork refused: child pid was killed earlier in trace"),
-    R_KILLED_EVENT: ("lifecycle", "warning: event from pid killed earlier in trace"),
 }
 
 
@@ -205,8 +201,9 @@ class Decision(NamedTuple):
         return f"{self.verdict.value}: {reason}"
 
 
-# the decision for every event from an unconfined pid
+# the decisions for every event from an unconfined pid, and from a killed one
 _UNCONFINED = Decision(V_UNCONFINED, R_UNCONFINED)
+_KILLED = Decision(V_UNCONFINED, R_KILLED_EVENT)
 # ``tuple.__new__(NT, values)`` builds a NamedTuple in one C call, without the
 # Python ``__new__`` its class generates; the hot paths here and in ``trace``
 # build with it
@@ -227,7 +224,7 @@ def decide(event: HookEvent, state: ContainerState) -> Decision:
     """Decide one mediated event against the state and the policy its container holds."""
     container = state.lookup(event.pid)
     if container is None:
-        return _UNCONFINED
+        return _KILLED if event.pid in state.killed else _UNCONFINED
     meta = container.meta
 
     # hot kinds first; the hardening family below is enforced regardless of

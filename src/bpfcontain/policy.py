@@ -283,17 +283,19 @@ def _device_kind(name: str) -> DeviceKind:
     return dev
 
 
+def _yaml_kind(value) -> str:
+    """How an error names a YAML value that is no scalar string: ``~``, ``{}``, ``[]``."""
+    return "null" if value is None else "a mapping" if isinstance(value, dict) else "a list"
+
+
 def _parse_network_value(value) -> NetCategory:
     if isinstance(value, str):
         names = value.replace(",", " ").split()
     elif isinstance(value, list):
         for item in value:
             if not isinstance(item, str):
-                # a YAML item that is no scalar string: ``~``, ``{...}`` or ``[...]``
-                what = ("null" if item is None else "a mapping" if isinstance(item, dict)
-                        else "a list")
                 raise MalformedRule(f"network rule list item must be a category name, "
-                                    f"got {what}")
+                                    f"got {_yaml_kind(item)}")
         names = value
     else:
         raise MalformedRule(f"network rule value must be a string or list: {value!r}")
@@ -480,24 +482,21 @@ def parse_policy(text: str) -> PolicyDocument:
         raise EmptyName("policy name must be a non-empty string")
     name = name.strip()
 
-    if "entry" not in doc:
-        raise MissingField("entry")
-    entry_raw = doc["entry"]
-    if not isinstance(entry_raw, str) or not entry_raw.strip():
+    entry_raw = doc.get("entry")
+    if isinstance(entry_raw, (list, dict)):
+        raise MalformedRule(f"entry must be a path, got {_yaml_kind(entry_raw)}")
+    if entry_raw is None or not entry_raw.strip():
         raise MissingField("entry")
     entry_parts = entry_raw.split()
     entry = normalize_rule_path(entry_parts[0])
     entry_args = tuple(entry_parts[1:])
 
-    default = DefaultMode.DENY
-    if "default" in doc:
-        mode = str(doc["default"]).strip().lower()
-        if mode == "allow":
-            default = DefaultMode.ALLOW
-        elif mode == "deny":
-            default = DefaultMode.DENY
-        else:
-            raise MalformedRule(f"default must be 'allow' or 'deny', got {doc['default']!r}")
+    mode = doc.get("default", "deny")
+    if not isinstance(mode, str):
+        raise MalformedRule(f"default must be 'allow' or 'deny', got {_yaml_kind(mode)}")
+    default = DefaultMode.__members__.get(mode.strip().upper())
+    if default is None:
+        raise MalformedRule(f"default must be 'allow' or 'deny', got {mode!r}")
 
     return PolicyDocument(
         name=name,

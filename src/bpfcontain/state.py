@@ -15,6 +15,7 @@ from .errors import (
     AlreadyConfined,
     ContainerTableFull,
     DuplicatePid,
+    StateError,
     UnknownPolicy,
 )
 from .policy import Value
@@ -36,7 +37,7 @@ class Container(Value):
 
 
 class ContainerState:
-    """One run's world: a compiled store and which pids belong to which containers.
+    """One run's world: a compiled store, the pids in each container, and the killed pids.
 
     ``confine`` reads a policy's PolicyMeta from ``store`` once and the
     container holds it, so ``decide`` and ``replay`` read each event's
@@ -44,7 +45,8 @@ class ContainerState:
     container's meta is the store's.  Container
     ids are a monotonically increasing 64-bit counter, never recycled within
     a run.  The containers table has a fixed capacity; confine fails rather
-    than evicting when it is full.
+    than evicting when it is full.  ``confine`` and ``on_fork`` refuse a
+    pid in ``killed``, and ``decide`` names its events as killed earlier.
     """
 
     def __init__(self, store: CompiledPolicyStore,
@@ -55,6 +57,7 @@ class ContainerState:
         self.max_containers = max_containers
         self.containers: dict[int, Container] = {}
         self.processes: dict[int, Container] = {}
+        self.killed: set[int] = set()
         self._ids = itertools.count(1)
 
     def lookup(self, pid: int) -> Container | None:
@@ -67,6 +70,8 @@ class ContainerState:
         Re-confinement is refused outright: allowing it would let a confined
         process swap itself under a weaker policy.
         """
+        if pid in self.killed:
+            raise StateError("confine refused: pid was killed earlier in trace")
         if pid in self.processes:
             raise AlreadyConfined(pid)
         meta = self.store.meta(policy_name)
@@ -88,6 +93,8 @@ class ContainerState:
 
     def on_fork(self, parent_pid: int, child_pid: int) -> Container | None:
         """Child joins the parent's container; forks by unconfined pids are ignored."""
+        if child_pid in self.killed:
+            raise StateError("fork refused: child pid was killed earlier in trace")
         if child_pid in self.processes:
             raise DuplicatePid(child_pid)
         container = self.processes.get(parent_pid)
@@ -107,6 +114,11 @@ class ContainerState:
             del self.containers[container.container_id]
             return container
         return None
+
+    def kill(self, pid: int) -> None:
+        """Retire pid for the run: its exit is implied, and it never rejoins a container."""
+        self.on_exit(pid)
+        self.killed.add(pid)
 
     def taint(self, container: Container) -> None:
         """One-way: tainted never reverts.  Idempotent."""

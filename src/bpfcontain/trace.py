@@ -16,12 +16,9 @@ import json
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .core import V_ALLOW, V_DENY, V_KILL, V_UNCONFINED
+from .core import V_ALLOW, V_DENY, V_KILL
 from .engine import (
     R_CREATED,
-    R_KILLED_CONFINE,
-    R_KILLED_EVENT,
-    R_KILLED_FORK,
     R_REMOVED,
     R_STATE_ERROR,
     Verdict,
@@ -488,11 +485,12 @@ def parse_trace_object(obj: dict, seq=None) -> TraceEvent:
     """Turn one decoded JSON object into a TraceEvent.
 
     ``seq`` may be pre-supplied for inline events (cli explain) that carry
-    no sequence number of their own.
+    no sequence number of their own; there a null ``seq`` is absent, as
+    every other optional field's is.  A trace line's ``seq`` is required.
     """
     if not isinstance(obj, dict):
         raise MalformedEvent(seq, "event must be a JSON object")
-    if "seq" in obj:
+    if "seq" in obj and (seq is None or obj["seq"] is not None):
         value = obj["seq"]
         if type(value) is not int:
             raise MalformedEvent(seq, "seq must be an integer")
@@ -614,14 +612,15 @@ def replay(events: Iterable[TraceEvent], state: ContainerState,
     The log keeps its records in ``records`` (a list by default), anything
     with ``append`` and ``len()``, such as an ``AuditWriter``.
 
-    A Kill decision retires the pid immediately (its exit is implied, and
-    the kill record subsumes any removal record).  Later events from a
-    killed pid are audited as unconfined warnings — a live kernel would
-    never deliver them, but traces can contain anything.
+    A Kill decision retires the pid in the state (``state.kill``; the kill
+    record subsumes any removal record).  Its later events are audited as
+    unconfined warnings — a live kernel would never deliver them, but
+    traces can contain anything — and a confine of it or a fork into it as
+    errors.  Replay keeps no state of its own: a trace replayed in parts
+    over one state audits as in one call.
     """
     log = AuditLog(audit_capacity, records)
     append = log.append
-    killed: set[int] = set()
     last_seq = None
     n_events = 0
 
@@ -632,45 +631,31 @@ def replay(events: Iterable[TraceEvent], state: ContainerState,
         n_events += 1
 
         if isinstance(ev, _HOOK_TYPES):
-            if ev.pid in killed:
-                append(AuditRecord(seq, ev, V_UNCONFINED, R_KILLED_EVENT))
-                continue
             decision = decide(ev, state)
             append(_new(AuditRecord, (seq, ev) + decision))
             if decision.verdict_code == V_KILL:
-                killed.add(ev.pid)
-                state.on_exit(ev.pid)
+                state.kill(ev.pid)
             continue
 
-        if isinstance(ev, Confine):
-            if ev.pid in killed:
-                append(AuditRecord(seq, ev, O_ERROR, R_KILLED_CONFINE))
-                continue
-            try:
+        try:
+            if isinstance(ev, Confine):
                 container = state.confine(ev.pid, ev.policy_name,
                                           mount_ns=ev.mount_ns, ipc_ns=ev.ipc_ns)
-            except StateError as exc:
-                append(AuditRecord(seq, ev, O_ERROR, R_STATE_ERROR, str(exc)))
-                continue
-            cid = container.container_id
-            append(_new(AuditRecord,
-                        (seq, ev, O_CREATED, R_CREATED, cid, cid, ev.policy_name, None)))
-        elif isinstance(ev, Fork):
-            if ev.child in killed:
-                append(AuditRecord(seq, ev, O_ERROR, R_KILLED_FORK))
-                continue
-            try:
+                cid = container.container_id
+                append(_new(AuditRecord,
+                            (seq, ev, O_CREATED, R_CREATED, cid, cid, ev.policy_name, None)))
+            elif isinstance(ev, Fork):
                 state.on_fork(ev.parent, ev.child)
-            except StateError as exc:
-                append(AuditRecord(seq, ev, O_ERROR, R_STATE_ERROR, str(exc)))
-        elif isinstance(ev, Exit):
-            removed = state.on_exit(ev.pid)
-            if removed is not None:
-                cid = removed.container_id
-                append(_new(AuditRecord, (seq, ev, O_REMOVED, R_REMOVED, cid, cid,
-                                          removed.meta.name, None)))
-        else:
-            raise TypeError(f"replay() cannot apply event {ev!r}")
+            elif isinstance(ev, Exit):
+                removed = state.on_exit(ev.pid)
+                if removed is not None:
+                    cid = removed.container_id
+                    append(_new(AuditRecord, (seq, ev, O_REMOVED, R_REMOVED, cid, cid,
+                                              removed.meta.name, None)))
+            else:
+                raise TypeError(f"replay() cannot apply event {ev!r}")
+        except StateError as exc:
+            append(AuditRecord(seq, ev, O_ERROR, R_STATE_ERROR, str(exc)))
 
     log.events = n_events
     return state, log

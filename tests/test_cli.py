@@ -335,6 +335,18 @@ def test_explain_malformed_event(policy_dir):
                    "--policy", "hello_minimal", "--event", event) == 3
 
 
+def test_explain_takes_a_null_seq_as_absent(policy_dir, capsys):
+    event = {"kind": "IpcOp", "pid": 1, "peer_pid": 2, "mechanism": "Signal"}
+    outs = []
+    for obj in (event, {"seq": None, **event}):
+        assert run_cli("--policy-dir", str(policy_dir), "explain",
+                       "--policy", "hello_minimal", "--event", json.dumps(obj)) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    assert outs[1].err == ""
+    assert outs[1].out == "Deny: ipc with an unconfined process\n"
+
+
 def test_explain_rejects_lifecycle_events(policy_dir):
     event = json.dumps({"kind": "fork", "parent": 1, "child": 2})
     assert run_cli("--policy-dir", str(policy_dir), "explain",

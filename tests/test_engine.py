@@ -165,6 +165,18 @@ def test_unconfined_pid_passthrough():
     assert d.verdict is Verdict.UNCONFINED
 
 
+def test_an_event_from_a_killed_pid_is_unconfined_and_named_so():
+    store, state, _ = _one_container(MINIMAL)
+    state.kill(100)
+    d = decide(FileAccess(100, "/dev/tty", parse_access("r")), state)
+    assert d.verdict is Verdict.UNCONFINED
+    assert d.container_id is None and d.policy is None
+    assert d.explain() == "Unconfined: warning: event from pid killed earlier in trace"
+    # a pid never confined is only unconfined
+    d = decide(FileAccess(999, "/dev/tty", parse_access("r")), state)
+    assert d.explain() == "Unconfined: pid is not confined"
+
+
 # --- implicit filesystem policy ------------------------------------------------
 
 def test_own_procfs_entry_allowed():

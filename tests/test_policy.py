@@ -61,6 +61,29 @@ def test_missing_entry():
     assert exc.value.field == "entry"
 
 
+# a header field that is there but holds a list or a mapping is named by its
+# YAML kind: never "missing", never by the Python text of its value
+@pytest.mark.parametrize("header,message", [
+    ("entry: [x]", "entry must be a path, got a list"),
+    ("entry: {a: b}", "entry must be a path, got a mapping"),
+    ("entry: /bin/sh\ndefault: [allow]", "default must be 'allow' or 'deny', got a list"),
+    ("entry: /bin/sh\ndefault: {a: b}", "default must be 'allow' or 'deny', got a mapping"),
+    ("entry: /bin/sh\ndefault: ~", "default must be 'allow' or 'deny', got null"),
+])
+def test_a_header_field_names_the_kind_it_got(header, message):
+    with pytest.raises(MalformedRule) as exc:
+        parse_policy(f"name: x\n{header}\n")
+    assert type(exc.value) is MalformedRule
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry", ["", " ~", " null", " ''", " '  '"])
+def test_a_null_or_blank_entry_is_missing(entry):
+    with pytest.raises(MissingField) as exc:
+        parse_policy(f"name: x\nentry:{entry}\n")
+    assert exc.value.field == "entry"
+
+
 def test_empty_name():
     with pytest.raises(EmptyName):
         parse_policy("name: ''\nentry: /bin/sh\n")

@@ -8,6 +8,7 @@ from bpfcontain.errors import (
     AlreadyConfined,
     ContainerTableFull,
     DuplicatePid,
+    StateError,
     UnknownPolicy,
 )
 from bpfcontain.state import ContainerState
@@ -93,6 +94,46 @@ def test_exit_keeps_container_while_members_remain(example_state):
 
 def test_exit_of_untracked_pid_is_noop(example_state):
     assert example_state.on_exit(12345) is None
+
+
+def test_kill_removes_the_container_with_its_last_pid(example_state):
+    c = example_state.confine(100, "hello_minimal")
+    example_state.on_fork(100, 101)
+    example_state.kill(100)
+    assert example_state.lookup(100) is None
+    assert c.pid_set == {101}
+    assert example_state.containers == {c.container_id: c}
+    example_state.kill(101)
+    assert example_state.containers == {}
+    assert example_state.processes == {}
+    assert example_state.killed == {100, 101}
+
+
+def test_a_killed_pid_can_be_neither_confined_nor_forked_into(example_state):
+    example_state.confine(100, "hello_minimal")
+    example_state.kill(100)
+    example_state.confine(200, "hello_minimal")
+    with pytest.raises(StateError) as exc:
+        example_state.confine(100, "hello_taint")
+    assert type(exc.value) is StateError
+    assert str(exc.value) == "confine refused: pid was killed earlier in trace"
+    with pytest.raises(StateError) as exc:
+        example_state.on_fork(200, 100)
+    assert type(exc.value) is StateError
+    assert str(exc.value) == "fork refused: child pid was killed earlier in trace"
+    # the refusals leave the world as it was
+    assert set(example_state.processes) == {200}
+    assert len(example_state.containers) == 1
+    # a killed pid that forks is unconfined: its child joins nothing
+    assert example_state.on_fork(100, 300) is None
+    assert example_state.lookup(300) is None
+
+
+def test_kill_of_an_untracked_pid_still_retires_it(example_state):
+    example_state.kill(7)
+    assert example_state.killed == {7}
+    with pytest.raises(StateError, match="^confine refused: pid was killed earlier in trace$"):
+        example_state.confine(7, "hello_minimal")
 
 
 def test_taint_is_one_way_and_idempotent(example_state):

@@ -93,10 +93,11 @@ def test_kill_retires_the_pid(example_store):
     ]
     state, log = replay(events, ContainerState(example_store))
     assert state.lookup(1) is None
+    assert state.killed == {1}
     decisions = [r.decision for r in log.records]
     assert decisions == ["Created", "Kill", "Unconfined", "Error"]
-    assert "killed earlier" in log.records[2].reason
-    assert "killed earlier" in log.records[3].reason
+    assert log.records[2].reason == "warning: event from pid killed earlier in trace"
+    assert log.records[3].reason == "confine refused: pid was killed earlier in trace"
     # no Allow after the kill
     assert "Allow" not in decisions[2:]
 
@@ -516,6 +517,15 @@ def test_trace_seq_is_a_signed_64_bit_integer():
         with pytest.raises(MalformedEvent) as exc:
             parse_trace(_lines({"seq": seq, "kind": "exit", "pid": 0}))
         assert exc.value.why == "seq must fit in a signed 64-bit integer"
+
+
+def test_a_trace_line_refuses_a_null_seq():
+    # only an inline event (explain) supplies its seq; a trace line must carry one
+    with pytest.raises(MalformedEvent) as exc:
+        parse_trace(_lines({"seq": None, "kind": "exit", "pid": 0}))
+    assert exc.value.why == "seq must be an integer"
+    inline = parse_trace_object({"seq": None, "kind": "exit", "pid": 0}, seq=0)
+    assert inline == parse_trace_object({"kind": "exit", "pid": 0}, seq=0)
 
 
 # one of every event and lifecycle class
