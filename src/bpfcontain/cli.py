@@ -32,6 +32,7 @@ from .policy import (
 from .state import DEFAULT_CONTAINER_CAPACITY, ContainerState
 from .trace import (
     DEFAULT_AUDIT_CAPACITY,
+    AuditLog,
     AuditWriter,
     LifecycleEvent,
     iter_trace,
@@ -232,11 +233,11 @@ def cmd_run(args) -> int:
         trace_fh = open(args.trace, "r", encoding="utf-8")
     except OSError as exc:
         raise _Fail(EXIT_IO, f"error: cannot read trace: {exc}")
-    state = ContainerState(store, max_containers=containers)
     try:
         with trace_fh, _audit_records(args.audit) as records:
-            _, audit = replay(iter_trace(trace_fh), state,
-                              audit_capacity=audit_capacity, records=records)
+            state = ContainerState(store, max_containers=containers)
+            audit = AuditLog(audit_capacity, records)
+            replay(iter_trace(trace_fh), state, audit)
     except OSError as exc:  # creating, writing or moving the audit file, or reading the trace
         raise _Fail(EXIT_IO, f"error: I/O error in run: {exc}")
     except TraceError as exc:

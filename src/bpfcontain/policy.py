@@ -156,6 +156,8 @@ def normalize_rule_path(path: str) -> str:
         raise InvalidPath(str(path), "empty")
     if not path.startswith("/"):
         raise InvalidPath(path, "must be absolute")
+    if "\x00" in path:
+        raise InvalidPath(path, "must not hold a NUL")
     if ".." in path.split("/"):
         raise InvalidPath(path, "'..' components are not allowed in rules")
     return _normpath(path)
@@ -165,6 +167,8 @@ def normalize_event_path(path: str) -> str:
     """Normalize a trace-supplied path (lexical only, ``..`` resolved in place)."""
     if not path.startswith("/"):
         raise ValueError(f"event path must be absolute: {path!r}")
+    if "\x00" in path:
+        raise ValueError(f"event path must not hold a NUL: {path!r}")
     return _normpath(path)
 
 
@@ -268,9 +272,7 @@ _TOP_LEVEL_KEYS = {"name", "entry", "default", "allow", "deny", "taint"}
 
 def _split_rule_value(kind: str, value, key) -> tuple:
     """A ``<key> [flags]`` rule value as ``(key(<key>), flags)``."""
-    if not isinstance(value, str) or not value.strip():
-        raise MalformedRule(f"{kind} rule value must be a non-empty string")
-    parts = value.split()
+    parts = _nonblank(f"{kind} rule value", value).split()
     if len(parts) > 2:
         raise MalformedRule(f"{kind} rule value has too many fields: {value!r}")
     return key(parts[0]), parse_access(parts[1]) if len(parts) == 2 else DEFAULT_ACCESS
@@ -284,8 +286,18 @@ def _device_kind(name: str) -> DeviceKind:
 
 
 def _yaml_kind(value) -> str:
-    """How an error names a YAML value that is no scalar string: ``~``, ``{}``, ``[]``."""
+    """How an error names a YAML value: a string by its text, and ``~``, ``{}``
+    and ``[]`` by their kind, never by their Python text."""
+    if isinstance(value, str):
+        return repr(value)
     return "null" if value is None else "a mapping" if isinstance(value, dict) else "a list"
+
+
+def _nonblank(what: str, value) -> str:
+    """``value`` if it is a string with more than blanks, else MalformedRule."""
+    if isinstance(value, str) and value.strip():
+        return value
+    raise MalformedRule(f"{what} must be a non-empty string, got {_yaml_kind(value)}")
 
 
 def _parse_network_value(value) -> NetCategory:
@@ -298,7 +310,7 @@ def _parse_network_value(value) -> NetCategory:
                                     f"got {_yaml_kind(item)}")
         names = value
     else:
-        raise MalformedRule(f"network rule value must be a string or list: {value!r}")
+        raise MalformedRule(f"network rule value must be a string or list, got {_yaml_kind(value)}")
     if not names:
         raise MalformedRule("network rule must name at least one category")
     cats = NetCategory(0)
@@ -311,9 +323,7 @@ def _parse_network_value(value) -> NetCategory:
 
 
 def _parse_capability_value(value) -> str:
-    if not isinstance(value, str) or not value.strip():
-        raise MalformedRule(f"capability rule value must be a non-empty string: {value!r}")
-    name = value.strip().upper()
+    name = _nonblank("capability rule value", value).strip().upper()
     if not name.startswith("CAP_"):
         name = "CAP_" + name
     if name not in CAPABILITIES:
@@ -323,7 +333,8 @@ def _parse_capability_value(value) -> str:
 
 def _parse_rule(entry) -> Rule:
     if not isinstance(entry, dict) or len(entry) != 1:
-        raise MalformedRule(f"each rule must be a single-key mapping, got {entry!r}")
+        got = f"{len(entry)} keys" if isinstance(entry, dict) else _yaml_kind(entry)
+        raise MalformedRule(f"each rule must be a single-key mapping, got {got}")
     (kind, value), = entry.items()
     kind = kind.lower()
     if kind in ("file", "subdir", "filesystem", "fs"):
@@ -335,14 +346,12 @@ def _parse_rule(entry) -> Rule:
         if value is None:
             return Rule("device", DeviceKind.TTY, DEFAULT_ACCESS)
         if not isinstance(value, str):
-            raise BadAccessFlags(str(value))
+            raise MalformedRule(f"tty rule value must be a flag string, got {_yaml_kind(value)}")
         return Rule("device", DeviceKind.TTY, parse_access(value.strip()))
     if kind in ("network", "net"):
         return Rule("network", None, _parse_network_value(value))
     if kind == "ipc":
-        if not isinstance(value, str) or not value.strip():
-            raise MalformedRule(f"ipc rule value must be a policy name: {value!r}")
-        return Rule("ipc", value.strip(), 1)
+        return Rule("ipc", _nonblank("ipc rule value", value).strip(), 1)
     if kind in ("capability", "cap"):
         return Rule("capability", _parse_capability_value(value), 1)
     raise UnknownRuleKind(kind)
@@ -478,7 +487,9 @@ def parse_policy(text: str) -> PolicyDocument:
     if "name" not in doc:
         raise MissingField("name")
     name = doc["name"]
-    if not isinstance(name, str) or not name.strip():
+    if isinstance(name, (list, dict)):
+        raise MalformedRule(f"policy name must be a string, got {_yaml_kind(name)}")
+    if name is None or not name.strip():
         raise EmptyName("policy name must be a non-empty string")
     name = name.strip()
 
@@ -492,11 +503,9 @@ def parse_policy(text: str) -> PolicyDocument:
     entry_args = tuple(entry_parts[1:])
 
     mode = doc.get("default", "deny")
-    if not isinstance(mode, str):
-        raise MalformedRule(f"default must be 'allow' or 'deny', got {_yaml_kind(mode)}")
-    default = DefaultMode.__members__.get(mode.strip().upper())
+    default = DefaultMode.__members__.get(mode.strip().upper()) if isinstance(mode, str) else None
     if default is None:
-        raise MalformedRule(f"default must be 'allow' or 'deny', got {mode!r}")
+        raise MalformedRule(f"default must be 'allow' or 'deny', got {_yaml_kind(mode)}")
 
     return PolicyDocument(
         name=name,

@@ -117,9 +117,7 @@ class TraceEvent(NamedTuple):
 # --- audit trail ---------------------------------------------------------------
 
 # Audit outcome codes: the engine's verdict codes, then the lifecycle outcomes.
-O_CREATED = 4
-O_REMOVED = 5
-O_ERROR = 6
+O_CREATED, O_REMOVED, O_ERROR = range(len(Verdict), len(Verdict) + 3)
 OUTCOMES = tuple(v.value for v in Verdict) + ("Created", "Removed", "Error")
 
 
@@ -178,13 +176,15 @@ class AuditLog:
     counters see every record, kept or dropped.  ``records`` (a new list by
     default) holds the kept ones, or is an ``AuditWriter``: through a
     writing one, the log writes each kept record's audit line as it comes.
+    ``replay`` keeps its seq cursor and event count here: ``last_seq``, ``events``.
     """
 
     def __init__(self, capacity: int = DEFAULT_AUDIT_CAPACITY, records=None):
         self.capacity = capacity
         self.records = records = [] if records is None else records
         self.dropped = 0
-        self.events = 0  # set by replay: every event, audited or not
+        self.events = 0  # every event replayed into this log, audited or not
+        self.last_seq = None  # the seq of the last one: the next must come after it
         self.outcomes = [0] * len(OUTCOMES)
         self.taints = 0
         # records kept so far, counted here so that a record costs no len()
@@ -359,11 +359,12 @@ def _parse_file_access(obj: dict, seq: int) -> FileAccess:
     # normalize a field or to raise its error.
     pid = _int_field(obj, "pid", seq)
     path = obj.get("path")
-    # an already-canonical path (absolute, no empty, "." or ".." component
-    # and no trailing slash) is taken as it is; normalize_event_path checks
-    # and normalizes any other
+    # an already-canonical path (absolute, no empty, "." or ".." component,
+    # no trailing slash and no NUL) is taken as it is; normalize_event_path
+    # checks and normalizes any other
     if not (type(path) is str and path.startswith("/") and "//" not in path
-            and "/." not in path and (path[-1] != "/" or path == "/")):
+            and "/." not in path and (path[-1] != "/" or path == "/")
+            and "\x00" not in path):
         path = _need(obj, "path", str, seq)
         try:
             path = normalize_event_path(path)
@@ -602,33 +603,29 @@ def write_trace(events: Iterable[TraceEvent], fh: TextIO):
 
 # --- replay ---------------------------------------------------------------------
 
-def replay(events: Iterable[TraceEvent], state: ContainerState,
-           audit_capacity: int = DEFAULT_AUDIT_CAPACITY, records=None,
+def replay(events: Iterable[TraceEvent], state: ContainerState, log: AuditLog | None = None,
 ) -> tuple[ContainerState, AuditLog]:
-    """Apply a seq-ordered trace to ``state``; returns the state and the audit log.
+    """Apply a seq-ordered trace to ``state`` and ``log`` (a new ``AuditLog``
+    by default); returns the state and the log.
 
     Every decision and removal record reads the state's own sealed store.
-
-    The log keeps its records in ``records`` (a list by default), anything
-    with ``append`` and ``len()``, such as an ``AuditWriter``.
+    Each event must come after ``log.last_seq``, and is counted in ``log.events``.
 
     A Kill decision retires the pid in the state (``state.kill``; the kill
     record subsumes any removal record).  Its later events are audited as
     unconfined warnings — a live kernel would never deliver them, but
     traces can contain anything — and a confine of it or a fork into it as
-    errors.  Replay keeps no state of its own: a trace replayed in parts
-    over one state audits as in one call.
+    errors.  Replay keeps nothing of its own: a trace replayed in parts
+    over one state and one log audits as in one call.
     """
-    log = AuditLog(audit_capacity, records)
+    log = AuditLog() if log is None else log
     append = log.append
-    last_seq = None
-    n_events = 0
 
     for seq, ev in events:
-        if last_seq is not None and seq <= last_seq:
+        if log.last_seq is not None and seq <= log.last_seq:
             raise OutOfOrderTrace(seq)
-        last_seq = seq
-        n_events += 1
+        log.last_seq = seq
+        log.events += 1
 
         if isinstance(ev, _HOOK_TYPES):
             decision = decide(ev, state)
@@ -657,5 +654,4 @@ def replay(events: Iterable[TraceEvent], state: ContainerState,
         except StateError as exc:
             append(AuditRecord(seq, ev, O_ERROR, R_STATE_ERROR, str(exc)))
 
-    log.events = n_events
     return state, log

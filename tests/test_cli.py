@@ -146,6 +146,18 @@ def test_run_unknown_capability_exits_3(policy_dir, tmp_path, capsys):
     assert "CAP_TELEPATHY" in capsys.readouterr().err
 
 
+def test_a_nul_in_an_event_path_exits_3(policy_dir, tmp_path, capsys):
+    event = {"kind": "FileAccess", "pid": 1, "path": "/dev/tty\x00", "requested": "r"}
+    trace = tmp_path / "t.jsonl"
+    _write_trace(trace, [{"seq": 1, **event}])
+    assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 3
+    assert run_cli("--policy-dir", str(policy_dir), "explain",
+                   "--policy", "hello_minimal", "--event", json.dumps(event)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: ") and "must not hold a NUL" in line for line in err)
+
+
 def test_run_unhashable_requested_exits_3(policy_dir, tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     _write_trace(trace, [{"seq": 1, "kind": "FileAccess", "pid": 5, "path": "/x",

@@ -1,5 +1,6 @@
 """Decision pipeline semantics, one spec example at a time."""
 
+import ast
 import itertools
 from pathlib import Path
 
@@ -602,3 +603,20 @@ def test_the_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(snippet, str(readme), "exec"), {})
     assert capsys.readouterr().out == "Allow: device rule tty rw\n"
+
+
+def test_each_reason_code_is_distinct_and_has_one_row():
+    # the codes are numbered by hand in two modules, and ``_REASONS`` is a
+    # dict literal, in which a repeated key silently keeps the last row
+    from bpfcontain import core, engine, trace
+
+    codes = {name: value for module in (core, engine)
+             for name, value in vars(module).items() if name.startswith("R_")}
+    assert len(set(codes.values())) == len(codes)
+    source = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    [rows] = [node.value for node in ast.walk(source) if isinstance(node, ast.Assign)
+              and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_REASONS"]]
+    assert sorted(key.id for key in rows.keys) == sorted(codes)
+    # the audit's outcome codes follow the verdicts
+    assert [trace.OUTCOMES[o] for o in (trace.O_CREATED, trace.O_REMOVED, trace.O_ERROR)] == [
+        "Created", "Removed", "Error"]

@@ -3,15 +3,18 @@ interleavings of confine, fork, exit, taint triggers and escalations."""
 
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bpfcontain.compiler import compile_policies
 from bpfcontain.core import V_KILL, V_UNCONFINED
+from bpfcontain.errors import OutOfOrderTrace
 from bpfcontain.events import CommitCreds, FileAccess, PrivLevel
 from bpfcontain.policy import AccessFlags, parse_policy
 from bpfcontain.state import ContainerState
 from bpfcontain.trace import (
     O_CREATED,
+    AuditLog,
     Confine,
     Exit,
     Fork,
@@ -64,8 +67,7 @@ def _checked(events, state, tainted):
 def test_lifecycle_and_taint_invariants(evs):
     events = [TraceEvent(seq, ev) for seq, ev in enumerate(evs, start=1)]
     state = ContainerState(STORE)
-    _, log = replay(_checked(events, state, set()), state,
-                    audit_capacity=len(events) + 1)
+    _, log = replay(_checked(events, state, set()), state, AuditLog(len(events) + 1))
     assert log.dropped == 0
 
     transitions = Counter(r.container_id for r in log.records if r.taint_transition)
@@ -90,13 +92,25 @@ def test_lifecycle_and_taint_invariants(evs):
 
 
 @settings(max_examples=300, deadline=None)
-@given(interleavings, st.integers(min_value=0, max_value=40))
-def test_a_trace_replayed_in_two_parts_audits_as_in_one(evs, k):
-    # replay keeps no lifecycle state of its own: all of it is in the state
+@given(interleavings, st.integers(min_value=0, max_value=40),
+       st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=40))
+# past the capacity: one call keeps 3 records and drops 3, and so must two parts
+@example([Confine(1, "hello_minimal")] + [FileAccess(1, "/dev/tty", AccessFlags.READ)] * 5,
+         3, 3, 0)
+def test_a_trace_replayed_in_two_parts_audits_as_in_one(evs, k, capacity, back):
+    # replay keeps nothing of its own: the lifecycle is in the state, and the
+    # records, the counts and the seq cursor are in the log
     events = [TraceEvent(seq, ev) for seq, ev in enumerate(evs, start=1)]
-    _, whole = replay(events, ContainerState(STORE))
-    state = ContainerState(STORE)
-    _, first = replay(events[:k], state)
-    _, second = replay(events[k:], state)
-    lines = [r.to_json() for r in whole.records]
-    assert [r.to_json() for r in first.records + second.records] == lines
+    _, whole = replay(events, ContainerState(STORE), AuditLog(capacity))
+    state, log = ContainerState(STORE), AuditLog(capacity)
+    replay(events[:k], state, log)
+    if log.last_seq is not None:
+        # a part must start after the last seq replayed; refused, it changes nothing
+        with pytest.raises(OutOfOrderTrace):
+            replay(events[back % log.last_seq:], state, log)
+    replay(events[k:], state, log)
+    assert [r.to_json() for r in log.records] == [r.to_json() for r in whole.records]
+    assert log.dropped == whole.dropped
+    assert log.outcomes == whole.outcomes
+    assert log.events == whole.events == len(events)
+    assert log.summary() == whole.summary()

@@ -77,6 +77,37 @@ def test_a_header_field_names_the_kind_it_got(header, message):
     assert str(exc.value) == message
 
 
+# so is a name, a rule or a rule value that is there but holds no string
+_RULE = "name: x\nallow:\n  - "
+
+
+@pytest.mark.parametrize("text,message", [
+    ("name: [x]", "policy name must be a string, got a list"),
+    ("name: {a: b}", "policy name must be a string, got a mapping"),
+    (_RULE + "capability: [x]", "capability rule value must be a non-empty string, got a list"),
+    (_RULE + "cap: ~", "capability rule value must be a non-empty string, got null"),
+    (_RULE + "ipc: [x]", "ipc rule value must be a non-empty string, got a list"),
+    (_RULE + "ipc: ' '", "ipc rule value must be a non-empty string, got ' '"),
+    (_RULE + "tty: [x]", "tty rule value must be a flag string, got a list"),
+    (_RULE + "net: {a: b}", "network rule value must be a string or list, got a mapping"),
+    (_RULE + "file: {a: b}", "file rule value must be a non-empty string, got a mapping"),
+    (_RULE + "[x]", "each rule must be a single-key mapping, got a list"),
+    (_RULE + "tty", "each rule must be a single-key mapping, got 'tty'"),
+    (_RULE + "{tty: r, ipc: x}", "each rule must be a single-key mapping, got 2 keys"),
+])
+def test_a_name_or_rule_names_the_kind_it_got(text, message):
+    with pytest.raises(MalformedRule) as exc:
+        parse_policy(f"entry: /bin/sh\n{text}\n")
+    assert type(exc.value) is MalformedRule
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["", " ~", " '  '"])
+def test_a_null_or_blank_name_is_empty(name):
+    with pytest.raises(EmptyName):
+        parse_policy(f"name:{name}\nentry: /bin/sh\n")
+
+
 @pytest.mark.parametrize("entry", ["", " ~", " null", " ''", " '  '"])
 def test_a_null_or_blank_entry_is_missing(entry):
     with pytest.raises(MissingField) as exc:
@@ -144,6 +175,17 @@ def test_paths_must_be_absolute_and_clean():
         parse_policy("name: x\nentry: /bin/sh\nallow:\n  - subdir: /a/../b r\n")
     doc = parse_policy("name: x\nentry: /bin/sh\nallow:\n  - file: //a//b/./c r\n")
     assert doc.allow[0].key == "/a/b/c"
+
+
+# no kernel path holds a NUL: YAML's "\0" and "\x00" escapes make one
+@pytest.mark.parametrize("text", [
+    'entry: /bin/sh\nallow:\n  - file: "/a\\x00b r"',
+    'entry: /bin/sh\nallow:\n  - subdir: "/a/\\0"',
+    'entry: "/bin/s\\0h --flag"',
+])
+def test_a_nul_in_a_path_is_refused(text):
+    with pytest.raises(InvalidPath, match="must not hold a NUL"):
+        parse_policy(f"name: x\n{text}\n")
 
 
 def test_subdir_filesystem_device_rules():

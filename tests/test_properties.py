@@ -73,7 +73,7 @@ ids = st.integers(min_value=0, max_value=2**63)
 # the trace's integer widths: pids and uids are u32, namespace ids u64
 pids = st.integers(min_value=0, max_value=2**32 - 1)
 ns_ids = st.integers(min_value=0, max_value=2**64 - 1)
-component = st.text(st.characters(blacklist_characters="/"), min_size=1).filter(
+component = st.text(st.characters(blacklist_characters="/\x00"), min_size=1).filter(
     lambda c: c not in (".", ".."))
 canonical_paths = st.one_of(
     st.just("/"), st.lists(component, min_size=1, max_size=6).map(lambda cs: "/" + "/".join(cs)))
@@ -193,6 +193,7 @@ path_tokens = st.lists(st.sampled_from(("/", ".", "..", "a")), max_size=8).map("
 @example(requested="r", path="/a/.")
 @example(requested="r", path="/a//a")
 @example(requested="r", path="/a/")
+@example(requested="r", path="/a\x00a")
 @example(requested="r", path="a")
 @example(requested="wr", path="/")
 def test_inline_field_acceptance_matches_the_helpers(requested, path):

@@ -20,7 +20,7 @@ from bpfcontain.compiler import compile_policies
 from bpfcontain.errors import MalformedEvent
 from bpfcontain.policy import parse_policy
 from bpfcontain.state import ContainerState
-from bpfcontain.trace import AuditWriter, Exit, TraceEvent, iter_trace, replay
+from bpfcontain.trace import AuditLog, AuditWriter, Exit, TraceEvent, iter_trace, replay
 
 from corpus import synthetic_workload, workloads
 
@@ -79,7 +79,7 @@ def test_replay_stays_within_the_per_event_call_budget():
     sys.setprofile(profile)
     try:
         _, log = replay(iter_trace(lines), ContainerState(store),
-                        records=AuditWriter(io.StringIO().write))
+                        AuditLog(records=AuditWriter(io.StringIO().write)))
     finally:
         sys.setprofile(None)
     assert log.events == 3000
@@ -97,20 +97,19 @@ def test_replay_stays_within_the_per_event_call_budget():
 @pytest.mark.parametrize("capacity", [1, 700, 100_000])
 def test_audit_writer_writes_what_the_kept_log_writes(capacity):
     store, events = synthetic_workload(3000, 5)
-    _, kept = replay(events, ContainerState(store), audit_capacity=capacity)
+    _, kept = replay(events, ContainerState(store), AuditLog(capacity))
     buf = io.StringIO()
     kept.write(buf)
 
     streamed_buf = io.StringIO()
-    _, streamed = replay(events, ContainerState(store), audit_capacity=capacity,
-                         records=AuditWriter(streamed_buf.write))
+    _, streamed = replay(events, ContainerState(store),
+                         AuditLog(capacity, AuditWriter(streamed_buf.write)))
     assert streamed_buf.getvalue() == buf.getvalue()
     assert len(streamed.records) == len(kept.records)
     assert streamed.summary() == kept.summary()
     assert streamed.outcomes == kept.outcomes
 
-    _, counted = replay(events, ContainerState(store), audit_capacity=capacity,
-                        records=AuditWriter())
+    _, counted = replay(events, ContainerState(store), AuditLog(capacity, AuditWriter()))
     assert len(counted.records) == len(kept.records)
     assert counted.summary() == kept.summary()
 

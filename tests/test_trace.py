@@ -28,6 +28,7 @@ from bpfcontain.policy import CAPABILITIES, AccessFlags, parse_access
 from bpfcontain.state import ContainerState
 from bpfcontain.trace import (
     _PARSERS,
+    AuditLog,
     Confine,
     Exit,
     Fork,
@@ -147,7 +148,7 @@ def test_audit_overflow_accounting(example_store):
     events = [TraceEvent(1, Confine(1, "hello_minimal"))]
     events += [TraceEvent(i, FileAccess(1, "/dev/tty", parse_access("r")))
                for i in range(2, 12)]
-    _, log = replay(events, ContainerState(example_store), audit_capacity=4)
+    _, log = replay(events, ContainerState(example_store), AuditLog(4))
     assert len(log.records) == 4
     assert log.dropped == 7  # 11 records attempted, 4 kept
     assert log.allows == 10  # counters see everything
@@ -384,6 +385,14 @@ def test_trace_event_paths_are_normalized():
                     "path": "/a//b/./c", "requested": "r"})
     [te] = parse_trace(lines)
     assert te.event.path == "/a/b/c"
+
+
+# a NUL in a path is refused, whether the path is canonical or not
+@pytest.mark.parametrize("path", ["/a\x00b", "/\x00", "/a//\x00/../b"])
+def test_a_nul_in_an_event_path_is_malformed(path):
+    lines = _lines({"seq": 1, "kind": "FileAccess", "pid": 1, "path": path, "requested": "r"})
+    with pytest.raises(MalformedEvent, match="event path must not hold a NUL"):
+        parse_trace(lines)
 
 
 def test_commit_creds_wire_format():
