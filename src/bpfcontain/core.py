@@ -17,11 +17,8 @@ from __future__ import annotations
 from .events import SocketFamily, SocketOpKind
 from .policy import NET_ALL, DeviceKind, NetCategory
 
-# verdicts
-V_ALLOW = 0
-V_DENY = 1
-V_KILL = 2
-V_UNCONFINED = 3
+# verdicts, in the order of ``engine.Verdict``
+V_ALLOW, V_DENY, V_KILL, V_UNCONFINED = range(4)
 
 # rule tiers, most specific first; each is its category's position in
 # ``compiler.MAP_CATEGORIES``, which names it in audit reasons
@@ -33,17 +30,10 @@ T_NET = 4
 T_IPC = 5
 T_CAP = 6
 
-# kernel reason codes
-R_EXEMPT = 1
-R_DENY_RULE = 2
-R_ALLOW_RULE = 3
-R_DEFAULT = 4
-R_PROC_SELF = 5
-R_PROC_FOREIGN = 6
-R_OVERLAY = 7
-R_BPFFS = 8
-R_NET_FAMILY = 9
-R_UNIX_IPC = 10
+# kernel reason codes, numbered from 1 in this order; the engine numbers
+# its own after them
+(R_EXEMPT, R_DENY_RULE, R_ALLOW_RULE, R_DEFAULT, R_PROC_SELF, R_PROC_FOREIGN,
+ R_OVERLAY, R_BPFFS, R_NET_FAMILY, R_UNIX_IPC) = range(1, 11)
 
 # Kernel constants, taken from the enums; the engine passes ``family`` and
 # ``op`` as their IntEnum members, which compare and index as ints.

@@ -69,35 +69,12 @@ class Verdict(Enum):
     UNCONFINED = "Unconfined"
 
 
-_VERDICTS = (Verdict.ALLOW, Verdict.DENY, Verdict.KILL, Verdict.UNCONFINED)
-
-# Reason codes the engine and the replay add to the kernel's R_* codes.
-R_UNCONFINED = 11
-R_ESCALATION_UID = 12
-R_ESCALATION_CAPS = 13
-R_CREDS_CHANGE = 14
-R_NS_SWITCH = 15
-R_HARDENING_OP = 16
-R_IPC_SAME = 17
-R_IPC_UNCONFINED = 18
-R_IPC_DENY_RULE = 19
-R_IPC_NO_RULE = 20
-R_IPC_ONE_SIDED = 21
-R_IPC_NS_MISMATCH = 22
-R_IPC_MUTUAL = 23
-R_CAP_DENY_RULE = 24
-R_CAP_ALLOW_RULE = 25
-R_CAP_NOT_POSSESSED = 26
-R_CAP_NO_RULE = 27
-R_KILLED_EVENT = 28
-# lifecycle outcomes, audited by the replay rather than decided here
-R_CREATED = 29
-R_REMOVED = 30
-R_STATE_ERROR = 31
+_VERDICTS = tuple(Verdict)  # indexed by the kernel's V_* codes
 
 # reason code -> (stage, text); ``{detail}`` is the decision's detail and
 # ``{policy}`` its policy name.  Rule hits and the default mode are worded
-# by ``reason_text`` from the kernel's detail and the verdict.
+# by ``reason_text`` from the kernel's detail and the verdict.  The kernel's
+# codes have their rows here; the engine and the replay declare theirs below.
 _REASONS = {
     R_EXEMPT: ("untainted-exemption", "untainted container is exempt from enforcement"),
     R_DENY_RULE: ("explicit-deny", None),
@@ -109,28 +86,39 @@ _REASONS = {
     R_BPFFS: ("hardening", "implicit hardening (bpffs pinned object)"),
     R_NET_FAMILY: ("implicit-net", "implicit policy: address family denied"),
     R_UNIX_IPC: ("ipc", "unix domain socket (ipc within container)"),
-    R_UNCONFINED: ("unconfined", "pid is not confined"),
-    R_ESCALATION_UID: ("hardening", "privilege escalation in commit_creds (uid {detail}->0)"),
-    R_ESCALATION_CAPS: ("hardening", "privilege escalation in commit_creds (capability gain)"),
-    R_CREDS_CHANGE: ("hardening", "credential change without escalation"),
-    R_NS_SWITCH: ("hardening", "implicit hardening (namespace switch)"),
-    R_HARDENING_OP: ("hardening", "implicit hardening ({detail})"),
-    R_IPC_SAME: ("ipc", "ipc within the same container"),
-    R_IPC_UNCONFINED: ("ipc", "ipc with an unconfined process"),
-    R_IPC_DENY_RULE: ("explicit-deny", "ipc rule denies policy {detail}"),
-    R_IPC_NO_RULE: ("ipc", "no ipc rule for policy {detail}"),
-    R_IPC_ONE_SIDED: ("ipc", "policy {detail} does not allowlist {policy}"),
-    R_IPC_NS_MISMATCH: ("ipc", "ipc namespace mismatch"),
-    R_IPC_MUTUAL: ("ipc", "mutual ipc allowlist with policy {detail}"),
-    R_CAP_DENY_RULE: ("explicit-deny", "capability rule denies {detail}"),
-    R_CAP_ALLOW_RULE: ("explicit-allow", "capability rule {detail}"),
-    R_CAP_NOT_POSSESSED: ("capability-mask", "capability {detail} not possessed"),
-    R_CAP_NO_RULE: ("capability-mask", "capability mask, no rule for {detail}"),
-    R_KILLED_EVENT: ("lifecycle", "warning: event from pid killed earlier in trace"),
-    R_CREATED: ("lifecycle", "container {detail} created"),
-    R_REMOVED: ("lifecycle", "container {detail} removed"),
-    R_STATE_ERROR: ("lifecycle", "{detail}"),
 }
+
+
+def _reason(stage: str, text: str) -> int:
+    """Declare the next reason code: its row is ``(stage, text)``."""
+    code = len(_REASONS) + 1
+    _REASONS[code] = (stage, text)
+    return code
+
+
+# The engine's reason codes, numbered in the order they are declared.
+R_UNCONFINED = _reason("unconfined", "pid is not confined")
+R_ESCALATION_UID = _reason("hardening", "privilege escalation in commit_creds (uid {detail}->0)")
+R_ESCALATION_CAPS = _reason("hardening", "privilege escalation in commit_creds (capability gain)")
+R_CREDS_CHANGE = _reason("hardening", "credential change without escalation")
+R_NS_SWITCH = _reason("hardening", "implicit hardening (namespace switch)")
+R_HARDENING_OP = _reason("hardening", "implicit hardening ({detail})")
+R_IPC_SAME = _reason("ipc", "ipc within the same container")
+R_IPC_UNCONFINED = _reason("ipc", "ipc with an unconfined process")
+R_IPC_DENY_RULE = _reason("explicit-deny", "ipc rule denies policy {detail}")
+R_IPC_NO_RULE = _reason("ipc", "no ipc rule for policy {detail}")
+R_IPC_ONE_SIDED = _reason("ipc", "policy {detail} does not allowlist {policy}")
+R_IPC_NS_MISMATCH = _reason("ipc", "ipc namespace mismatch")
+R_IPC_MUTUAL = _reason("ipc", "mutual ipc allowlist with policy {detail}")
+R_CAP_DENY_RULE = _reason("explicit-deny", "capability rule denies {detail}")
+R_CAP_ALLOW_RULE = _reason("explicit-allow", "capability rule {detail}")
+R_CAP_NOT_POSSESSED = _reason("capability-mask", "capability {detail} not possessed")
+R_CAP_NO_RULE = _reason("capability-mask", "capability mask, no rule for {detail}")
+R_KILLED_EVENT = _reason("lifecycle", "warning: event from pid killed earlier in trace")
+# lifecycle outcomes, audited by the replay rather than decided here
+R_CREATED = _reason("lifecycle", "container {detail} created")
+R_REMOVED = _reason("lifecycle", "container {detail} removed")
+R_STATE_ERROR = _reason("lifecycle", "{detail}")
 
 
 def _rule_text(tier: int, key, mask: int) -> str:
@@ -188,7 +176,9 @@ class Decision(NamedTuple):
 
     @property
     def reason(self) -> str:
-        return reason_text(self.verdict_code, self.code, self.detail, self.policy)
+        """The audit line's reason, its taint clause included."""
+        return reason_text(self.verdict_code, self.code, self.detail, self.policy,
+                           self.taint_detail)
 
     @property
     def taint_transition(self) -> bool:
@@ -196,9 +186,7 @@ class Decision(NamedTuple):
 
     def explain(self) -> str:
         """Human-readable outcome, e.g. ``Allow: device rule tty rw``."""
-        reason = reason_text(self.verdict_code, self.code, self.detail, self.policy,
-                             self.taint_detail)
-        return f"{self.verdict.value}: {reason}"
+        return f"{self.verdict.value}: {self.reason}"
 
 
 # the decisions for every event from an unconfined pid, and from a killed one

@@ -193,18 +193,6 @@ class AuditLog:
         # record costs one call, not a second one in the writer
         self._write = records._write if isinstance(records, AuditWriter) else None
 
-    @property
-    def allows(self) -> int:
-        return self.outcomes[V_ALLOW]
-
-    @property
-    def denies(self) -> int:
-        return self.outcomes[V_DENY]
-
-    @property
-    def kills(self) -> int:
-        return self.outcomes[V_KILL]
-
     def append(self, record: AuditRecord):
         self.outcomes[record.outcome] += 1
         if record.taint_detail is not None:
@@ -222,9 +210,9 @@ class AuditLog:
     def summary(self) -> dict:
         return {
             "events": self.events,
-            "allows": self.allows,
-            "denies": self.denies,
-            "kills": self.kills,
+            "allows": self.outcomes[V_ALLOW],
+            "denies": self.outcomes[V_DENY],
+            "kills": self.outcomes[V_KILL],
             "taints": self.taints,
             "dropped": self.dropped,
         }
@@ -521,13 +509,14 @@ _JSON_SPACE = " \t\r\n"
 
 
 def iter_trace(lines: Iterable[str]) -> Iterator[TraceEvent]:
-    """Parse a JSONL trace lazily: header line first, then seq-ordered events.
+    """Parse a JSONL trace lazily: header line first, then events.
 
     Each event is yielded before the next line is read, so an error in a
     later line is raised only when the iteration reaches it.  A line of
-    JSON whitespace alone is skipped.
+    JSON whitespace alone is skipped.  Seq order is left to the consumer:
+    ``replay`` checks it against ``log.last_seq``, ``parse_trace`` itself.
     """
-    last_seq = None
+    last_seq = None  # the seq an invalid-JSON error names: the last one parsed
     saw_header = False
     for lineno, line in enumerate(lines, start=1):
         line = line.strip(_JSON_SPACE)
@@ -553,8 +542,6 @@ def iter_trace(lines: Iterable[str]) -> Iterator[TraceEvent]:
             saw_header = True
             continue
         event = parse_trace_object(obj)
-        if last_seq is not None and event.seq <= last_seq:
-            raise OutOfOrderTrace(event.seq)
         last_seq = event.seq
         yield event
     if not saw_header:
@@ -562,8 +549,19 @@ def iter_trace(lines: Iterable[str]) -> Iterator[TraceEvent]:
 
 
 def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
-    """Parse a whole JSONL trace, raising any error before returning."""
-    return list(iter_trace(lines))
+    """Parse a whole JSONL trace, raising any error before returning.
+
+    Seq order is checked here, so an out-of-order seq is raised in file
+    order among the parse errors.
+    """
+    events = []
+    last_seq = None
+    for event in iter_trace(lines):
+        if last_seq is not None and event.seq <= last_seq:
+            raise OutOfOrderTrace(event.seq)
+        last_seq = event.seq
+        events.append(event)
+    return events
 
 
 def event_to_object(te: TraceEvent) -> dict:

@@ -116,13 +116,15 @@ def test_run_empty_trace(policy_dir, tmp_path, capsys):
     assert "events=0 allows=0 denies=0 kills=0 taints=0" in capsys.readouterr().out
 
 
-def test_run_out_of_order_trace_exits_3(policy_dir, tmp_path):
+def test_run_out_of_order_trace_exits_3(policy_dir, tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     _write_trace(trace, [
         {"seq": 2, "kind": "exit", "pid": 1},
         {"seq": 1, "kind": "exit", "pid": 2},
     ])
     assert run_cli("--policy-dir", str(policy_dir), "run", "--trace", str(trace)) == 3
+    assert capsys.readouterr().err == (
+        "error: trace sequence numbers are not strictly increasing at seq 1\n")
 
 
 def test_run_malformed_event_exits_3(policy_dir, tmp_path):

@@ -1,6 +1,5 @@
 """Decision pipeline semantics, one spec example at a time."""
 
-import ast
 import itertools
 from pathlib import Path
 
@@ -606,17 +605,28 @@ def test_the_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
 
 
 def test_each_reason_code_is_distinct_and_has_one_row():
-    # the codes are numbered by hand in two modules, and ``_REASONS`` is a
-    # dict literal, in which a repeated key silently keeps the last row
     from bpfcontain import core, engine, trace
 
-    codes = {name: value for module in (core, engine)
-             for name, value in vars(module).items() if name.startswith("R_")}
-    assert len(set(codes.values())) == len(codes)
-    source = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
-    [rows] = [node.value for node in ast.walk(source) if isinstance(node, ast.Assign)
-              and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_REASONS"]]
-    assert sorted(key.id for key in rows.keys) == sorted(codes)
+    # by name: the engine imports the kernel's codes
+    codes = list({name: value for module in (core, engine)
+                  for name, value in vars(module).items() if name.startswith("R_")}.values())
+    assert len(set(codes)) == len(codes)
+    assert set(engine._REASONS) == set(codes)
+    assert sorted(codes) == list(range(1, len(engine._REASONS) + 1))
+    assert [engine._VERDICTS[v] for v in (core.V_ALLOW, core.V_DENY, core.V_KILL,
+                                          core.V_UNCONFINED)] == [
+        Verdict.ALLOW, Verdict.DENY, Verdict.KILL, Verdict.UNCONFINED]
     # the audit's outcome codes follow the verdicts
     assert [trace.OUTCOMES[o] for o in (trace.O_CREATED, trace.O_REMOVED, trace.O_ERROR)] == [
         "Created", "Removed", "Error"]
+
+
+def test_a_decision_reason_is_the_audit_reason_taint_clause_included():
+    # the Connect taints the container, and the then-tainted container has no
+    # network grant
+    _, state, _ = _one_container(
+        "name: t\nentry: /bin/t\nallow:\n  - file: /etc/hosts r\ntaint:\n  - net: client\n")
+    d = decide(SocketOp(100, SocketFamily.IPV4, SocketOpKind.CONNECT), state)
+    assert d.reason == ("tainted by rule network client, "
+                        "then no matching rule under default deny")
+    assert d.explain() == f"Deny: {d.reason}"
