@@ -35,11 +35,11 @@ from .trace import (
     AuditLog,
     AuditWriter,
     LifecycleEvent,
-    iter_trace,
     parse_trace,  # unused here, but perfbench/tracer.py wraps ``cli.parse_trace``
     parse_trace_object,
     replay,
 )
+from .transport import parsed_events
 
 EXIT_OK = 0
 EXIT_POLICY = 1
@@ -234,11 +234,14 @@ def cmd_run(args) -> int:
     except OSError as exc:
         raise _Fail(EXIT_IO, f"error: cannot read trace: {exc}")
     try:
-        with trace_fh, _audit_records(args.audit) as records:
+        # the events are parsed in a forked child, where one can be; the
+        # audit header is buffered before the fork and is written by this
+        # process alone
+        with trace_fh, _audit_records(args.audit) as records, parsed_events(trace_fh) as events:
             state = ContainerState(store, max_containers=containers)
             audit = AuditLog(audit_capacity, records)
-            replay(iter_trace(trace_fh), state, audit)
-    except OSError as exc:  # creating, writing or moving the audit file, or reading the trace
+            replay(events, state, audit)
+    except OSError as exc:  # the audit file, the trace, or a parser process that ended early
         raise _Fail(EXIT_IO, f"error: I/O error in run: {exc}")
     except TraceError as exc:
         raise _Fail(EXIT_TRACE, f"error: {exc}")

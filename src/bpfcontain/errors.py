@@ -1,8 +1,15 @@
 """Exception hierarchy for policy parsing, compilation, and runtime state."""
 
+import copyreg
+
 
 class BpfcontainError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # a subclass's __init__ takes its fields, not the message in
+        # ``args``: rebuild through __new__, then restore the fields
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # --- policy parsing ---------------------------------------------------------
