@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 policy parse/validation errors, 2 I/O failures,
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import json
 import os
 import stat
@@ -285,7 +287,20 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
+_freeze_at_exit = False
+
+
 def main(argv=None) -> int:
+    global _freeze_at_exit
+    if not _freeze_at_exit:
+        # The interpreter's last cyclic collection walks every object the run
+        # loaded and frees nothing that needs freeing: main closes its files
+        # and reaps the parser child before it returns, and Python never
+        # promises __del__ for cyclic garbage at exit.  So the process
+        # freezes what is left as it exits, registered once however often
+        # main runs; a forked child leaves through os._exit and never runs it.
+        atexit.register(gc.freeze)
+        _freeze_at_exit = True
     args = build_parser().parse_args(argv)
     command = {"lint": cmd_lint, "run": cmd_run, "explain": cmd_explain}[args.command]
     try:

@@ -181,12 +181,17 @@ def parsed_events(trace_fh):
         return
     rfd, wfd = os.pipe()
     # what exists now is left out of both processes' collections, which
-    # would otherwise write to every shared page and copy it
-    gc.freeze()
+    # would otherwise write to every shared page and copy it; a caller that
+    # froze objects itself keeps its freeze, which a thaw would undo and a
+    # second freeze would leave holding the run's cyclic garbage
+    caller_froze = gc.get_freeze_count() > 0
+    if not caller_froze:
+        gc.freeze()
     try:
         pid = os.fork()
     except BaseException:
-        gc.unfreeze()
+        if not caller_froze:
+            gc.unfreeze()
         os.close(rfd)
         os.close(wfd)
         raise
@@ -207,4 +212,5 @@ def parsed_events(trace_fh):
         with contextlib.suppress(ChildProcessError, ProcessLookupError):
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
-        gc.unfreeze()
+        if not caller_froze:
+            gc.unfreeze()

@@ -1,18 +1,24 @@
 """``bpfcontain run`` parses in a forked child: events cross a pipe as flat
-tuples, errors come after the events before them, and no child outlives a run."""
+tuples, errors come after the events before them, no child outlives a run,
+and a run leaves the collector's freeze as it found it until the process exits."""
 
 import enum
+import gc
 import inspect
 import json
 import marshal
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 
+import bpfcontain
 from bpfcontain import cli, errors, transport
 from bpfcontain.cli import main
 from bpfcontain.errors import BpfcontainError, MalformedEvent
@@ -205,8 +211,14 @@ def _trace(tmp_path, n_good, tail=""):
 
 
 def _run(policy_dir, trace, audit):
-    return main(["--policy-dir", str(policy_dir), "run", "--trace", str(trace),
-                 "--audit", str(audit)])
+    """``main run``, checked to leave ``gc.get_freeze_count()`` as it was,
+    however it ends."""
+    frozen = gc.get_freeze_count()
+    try:
+        return main(["--policy-dir", str(policy_dir), "run", "--trace", str(trace),
+                     "--audit", str(audit)])
+    finally:
+        assert gc.get_freeze_count() == frozen
 
 
 def test_a_good_run_leaves_no_child(policy_dir, tmp_path, forks, capsys):
@@ -306,3 +318,71 @@ def test_a_run_that_ignores_sigchld_succeeds(policy_dir, tmp_path, forks, capsys
     assert forks
     _no_child_is_left()
     assert capsys.readouterr().out == "events=1000 allows=999 denies=0 kills=0 taints=0\n"
+
+
+# --- the collector's freeze ---------------------------------------------------------------
+
+@pytest.mark.parametrize("caller_froze", [False, True], ids=["nothing frozen", "caller froze"])
+def test_a_run_leaves_the_callers_freeze_as_it_found_it(policy_dir, tmp_path, forks, capsys,
+                                                        caller_froze):
+    if caller_froze:
+        gc.freeze()
+    try:
+        assert (gc.get_freeze_count() > 0) == caller_froze
+        # _run checks that the count is as it was
+        assert _run(policy_dir, _trace(tmp_path, 1000), tmp_path / "audit.jsonl") == 0
+    finally:
+        gc.unfreeze()
+    assert forks
+    assert capsys.readouterr().out == "events=1000 allows=999 denies=0 kills=0 taints=0\n"
+
+
+def _python(args):
+    """A ``python`` process with this package importable and its stdout a
+    block-buffered pipe, so what it prints is flushed as the process exits."""
+    src = str(Path(bpfcontain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+# three runs in one process, then an atexit probe registered before them
+_THREE_RUNS = """\
+import atexit, gc, sys
+from bpfcontain import cli
+
+registered = []
+register = atexit.register
+atexit.register = lambda f: registered.append(f) or register(f)
+register(lambda: sys.stderr.write(f"at exit: frozen={gc.get_freeze_count() > 0}\\n"))
+for _ in range(3):
+    rc = cli.main(sys.argv[1:])
+    hooks = [f is gc.freeze for f in registered]
+    sys.stderr.write(f"rc={rc} frozen={gc.get_freeze_count()} hooks={hooks}\\n")
+"""
+
+
+def test_main_freezes_the_collector_at_exit_once_per_process(policy_dir, tmp_path):
+    trace, audit = _trace(tmp_path, 1000), tmp_path / "audit.jsonl"
+    proc = _python(["-c", _THREE_RUNS, "--policy-dir", str(policy_dir), "run",
+                    "--trace", str(trace), "--audit", str(audit)])
+    assert proc.returncode == 0, proc.stderr
+    # each run leaves nothing frozen, the hook is registered by the first run
+    # alone, and it runs before the probe registered ahead of it
+    assert proc.stderr == "rc=0 frozen=0 hooks=[True]\n" * 3 + "at exit: frozen=True\n"
+    assert proc.stdout == "events=1000 allows=999 denies=0 kills=0 taints=0\n" * 3
+
+
+def test_a_piped_cli_run_prints_its_summary_and_writes_the_audit(policy_dir, tmp_path, capsys):
+    trace = _trace(tmp_path, 1000)
+    assert _run(policy_dir, trace, tmp_path / "in_process.jsonl") == 0
+    capsys.readouterr()
+    audit = tmp_path / "piped.jsonl"
+    proc = _python(["-m", "bpfcontain.cli", "--policy-dir", str(policy_dir), "run",
+                    "--trace", str(trace), "--audit", str(audit)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "events=1000 allows=999 denies=0 kills=0 taints=0\n"
+    assert proc.stderr == ""
+    assert audit.read_bytes() == (tmp_path / "in_process.jsonl").read_bytes()
