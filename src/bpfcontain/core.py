@@ -36,7 +36,8 @@ T_CAP = 6
  R_OVERLAY, R_BPFFS, R_NET_FAMILY, R_UNIX_IPC) = range(1, 11)
 
 # Kernel constants, taken from the enums; the engine passes ``family`` and
-# ``op`` as their IntEnum members, which compare and index as ints.
+# ``op`` as the event holds them: plain ints from the trace parser, or the
+# IntEnum members a library caller built it with, which compare and index alike.
 _DEV_TTY, _DEV_RANDOM, _DEV_NULL, _DEV_ZERO = (
     int(DeviceKind.TTY), int(DeviceKind.RANDOM), int(DeviceKind.NULL), int(DeviceKind.ZERO))
 _FAM_UNIX, _FAM_OTHER = int(SocketFamily.UNIX), int(SocketFamily.OTHER)

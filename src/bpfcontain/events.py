@@ -6,6 +6,11 @@ Both are ``policy.Value`` records: their ``__slots__`` are their fields and
 their wire schema, in order, and an ``__init__`` sets those slots and nothing
 else, so they are cheap to build.  An event is equal only to an event of the
 same type with the same fields, mutable and unhashable.
+
+The trace parser gives every enum field (``requested``, ``fs_kind``,
+``family``, ``op``, ``mechanism``) as the member's plain int, so an event's
+slots are its flat form; a member, as a library caller may pass it, compares,
+hashes and indexes as that int, so it judges and renders the same.
 """
 
 from __future__ import annotations
@@ -58,10 +63,11 @@ class HardeningKind(IntEnum):
 
 
 class FileAccess(Value):
-    """One file access; ``requested`` is a mask of ``AccessFlags`` bits.
+    """One file access; ``requested`` is a mask of ``AccessFlags`` bits and
+    ``fs_kind`` an ``FsKind``.
 
-    The trace parser gives it as a plain int; an ``AccessFlags`` member
-    judges and renders the same.
+    The trace parser gives both as plain ints; ``AccessFlags`` and
+    ``FsKind`` members judge and render the same.
     """
 
     __slots__ = ("pid", "path", "requested", "fs_kind", "owner_mount_ns", "proc_subject_pid")
@@ -187,9 +193,10 @@ _HARDENING_NAMES = {
     HardeningKind.LOCKDOWN: "Lockdown",
     HardeningKind.UNLINK_PINNED_OBJECT: "UnlinkPinnedObject",
 }
-# enum type -> its table above
-_WIRE_NAMES = {FsKind: _FSKIND_NAMES, SocketFamily: _FAMILY_NAMES, SocketOpKind: _SOCKOP_NAMES,
-               IpcMechanism: _IPC_NAMES, HardeningKind: _HARDENING_NAMES}
+# (event class, field) -> the field's table above
+_WIRE_NAMES = {(FileAccess, "fs_kind"): _FSKIND_NAMES, (SocketOp, "family"): _FAMILY_NAMES,
+               (SocketOp, "op"): _SOCKOP_NAMES, (IpcOp, "mechanism"): _IPC_NAMES,
+               (HardeningOp, "op"): _HARDENING_NAMES}
 
 # Short spellings used in hardening denial reasons ("implicit hardening (bpf)").
 HARDENING_SHORT = {

@@ -249,17 +249,18 @@ class AuditWriter:
 
 # --- trace parsing -------------------------------------------------------------
 
-# wire spelling -> enum member, inverted from the tables in ``events``
-_FS_KINDS = {name: kind for kind, name in _FSKIND_NAMES.items()}
-_FAMILIES = {name: family for family, name in _FAMILY_NAMES.items()}
-_SOCK_OPS = {name: op for op, name in _SOCKOP_NAMES.items()}
-_MECHANISMS = {name: mech for mech, name in _IPC_NAMES.items()}
-_HARDENING_OPS = {name: op for op, name in _HARDENING_NAMES.items()}
+# wire spelling -> the enum member's plain int, inverted from the tables in
+# ``events``: a parsed event's slots are its flat form
+_FS_KINDS = {name: int(kind) for kind, name in _FSKIND_NAMES.items()}
+_FAMILIES = {name: int(family) for family, name in _FAMILY_NAMES.items()}
+_SOCK_OPS = {name: int(op) for op, name in _SOCKOP_NAMES.items()}
+_MECHANISMS = {name: int(mech) for mech, name in _IPC_NAMES.items()}
+_HARDENING_OPS = {name: int(op) for op, name in _HARDENING_NAMES.items()}
 _CAPABILITIES = {name: name for name in sorted(CAPABILITIES)}
 # canonical ``rwax`` spelling -> its plain int mask; other spellings go
 # through ``parse_access``
 _MASKS = {text: mask for mask, text in enumerate(ACCESS_STRINGS) if text}
-_REGULAR = FsKind.REGULAR  # a FileAccess's fs_kind when the line names none
+_REGULAR = int(FsKind.REGULAR)  # a FileAccess's fs_kind when the line names none
 
 
 def _need(obj: dict, key: str, types, seq) -> object:
@@ -569,19 +570,23 @@ def event_to_object(te: TraceEvent) -> dict:
 
     The event's fields, in class order and each under its own name, except
     that Confine's namespaces are nested under ``ns_info``.  A None field
-    and a FileAccess's ``Regular`` fs_kind are left out.
+    and a FileAccess's ``Regular`` fs_kind are left out.  An enum field is
+    spelled by its ``(class, field)`` table, so its int and its member write
+    the same name.
     """
     ev = te.event
-    kind = _KINDS.get(type(ev))
+    cls = type(ev)
+    kind = _KINDS.get(cls)
     if kind is None:
         raise TypeError(f"unhandled event {ev!r}")
     out: dict = {"seq": te.seq, "kind": kind}
     for name in ev.__slots__:
         value = getattr(ev, name)
-        if value is None or value is _REGULAR:
+        names = _WIRE_NAMES.get((cls, name))
+        if value is None or (names is _FSKIND_NAMES and value == _REGULAR):
             continue
-        if type(value) in _WIRE_NAMES:
-            value = _WIRE_NAMES[type(value)][value]
+        if names is not None:
+            value = names[value]
         elif isinstance(value, PrivLevel):
             value = {"uid": value.uid, "capability_set": sorted(value.capability_set)}
         elif name == "requested":

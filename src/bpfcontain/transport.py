@@ -21,22 +21,8 @@ import threading
 from itertools import chain
 from operator import attrgetter
 
-from .events import (
-    CapabilityUse,
-    CommitCreds,
-    FileAccess,
-    FsKind,
-    HardeningKind,
-    HardeningOp,
-    IpcMechanism,
-    IpcOp,
-    PrivLevel,
-    SocketFamily,
-    SocketOp,
-    SocketOpKind,
-    SwitchNamespaces,
-)
-from .trace import Confine, Exit, Fork, TraceEvent, iter_trace
+from .events import CommitCreds, PrivLevel
+from .trace import _KINDS, TraceEvent, iter_trace
 
 BATCH = 128  # events per frame
 _LENGTH = struct.Struct("<Q")
@@ -44,46 +30,28 @@ _LENGTH = struct.Struct("<Q")
 # millisecond to import
 _SIGKILL = 9
 
-# an enum's members by value: every event enum is numbered 0, 1, ...
-_FS_KINDS = tuple(FsKind)
-_FAMILIES = tuple(SocketFamily)
-_SOCK_OPS = tuple(SocketOpKind)
-_MECHANISMS = tuple(IpcMechanism)
-_HARDENING_OPS = tuple(HardeningKind)
-
 
 def _priv(p: PrivLevel) -> tuple:
     return p.uid, p.capability_set
 
 
-# Each kind's flat form, (class, encode, decode): its slot values in order,
-# an enum member (a FileAccess's ``requested`` included) as its int and a
-# PrivLevel as ``(uid, capability_set)``; decode rebuilds the event with its
-# class's own constructor.  A flat event on the wire is ``(row, seq, values)``.
-_FORMS = (
-    (FileAccess,
-     lambda e: (e.pid, e.path, int(e.requested), int(e.fs_kind), e.owner_mount_ns,
-                e.proc_subject_pid),
-     lambda pid, path, requested, fs_kind, owner_ns, subject:
-         FileAccess(pid, path, requested, _FS_KINDS[fs_kind], owner_ns, subject)),
-    (SocketOp,
-     lambda e: (e.pid, int(e.family), int(e.op)),
-     lambda pid, family, op: SocketOp(pid, _FAMILIES[family], _SOCK_OPS[op])),
-    (IpcOp,
-     lambda e: (e.pid, e.peer_pid, int(e.mechanism)),
-     lambda pid, peer, mechanism: IpcOp(pid, peer, _MECHANISMS[mechanism])),
-    (CapabilityUse, attrgetter("pid", "capability", "possessed"), CapabilityUse),
-    (CommitCreds,
-     lambda e: (e.pid, _priv(e.old_priv), _priv(e.new_priv)),
-     lambda pid, old, new: CommitCreds(pid, PrivLevel(*old), PrivLevel(*new))),
-    (SwitchNamespaces, lambda e: (e.pid,), SwitchNamespaces),
-    (HardeningOp,
-     lambda e: (e.pid, int(e.op)),
-     lambda pid, op: HardeningOp(pid, _HARDENING_OPS[op])),
-    (Confine, attrgetter("pid", "policy_name", "mount_ns", "ipc_ns"), Confine),
-    (Fork, attrgetter("parent", "child"), Fork),
-    (Exit, lambda e: (e.pid,), Exit),
-)
+def _form(cls) -> tuple:
+    """A kind's ``(encode, decode)``: the parser gives every field as a plain
+    value (an enum field as its int), so the flat form is the slot values in
+    order, and the class itself rebuilds the event.  A CommitCreds sends
+    each PrivLevel as ``(uid, capability_set)``."""
+    if cls is CommitCreds:
+        return (lambda e: (e.pid, _priv(e.old_priv), _priv(e.new_priv)),
+                lambda pid, old, new: CommitCreds(pid, PrivLevel(*old), PrivLevel(*new)))
+    values = attrgetter(*cls.__slots__)
+    if len(cls.__slots__) == 1:  # attrgetter of one name gives its value bare
+        return (lambda e: (values(e),)), cls
+    return values, cls
+
+
+# Each kind's (class, encode, decode); a flat event on the wire is
+# ``(row, seq, values)``, its row the kind's place here.
+_FORMS = tuple((cls, *_form(cls)) for cls in _KINDS)
 _ENCODERS = {cls: (row, encode) for row, (cls, encode, _) in enumerate(_FORMS)}
 _DECODERS = tuple(decode for _, _, decode in _FORMS)
 

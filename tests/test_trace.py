@@ -1,5 +1,6 @@
 """Trace parsing, replay semantics, and audit determinism."""
 
+import enum
 import inspect
 import io
 import json
@@ -7,6 +8,8 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bpfcontain.compiler import compile_policies
+from bpfcontain.engine import decide
 from bpfcontain.errors import MalformedEvent, OutOfOrderTrace, TraceError
 from bpfcontain.events import (
     CapabilityUse,
@@ -24,11 +27,12 @@ from bpfcontain.events import (
     SocketOpKind,
     SwitchNamespaces,
 )
-from bpfcontain.policy import CAPABILITIES, AccessFlags, parse_access
+from bpfcontain.policy import CAPABILITIES, AccessFlags, parse_access, parse_policy
 from bpfcontain.state import ContainerState
 from bpfcontain.trace import (
     _PARSERS,
     AuditLog,
+    AuditRecord,
     Confine,
     Exit,
     Fork,
@@ -649,3 +653,75 @@ def test_only_json_whitespace_pads_a_trace_line(pad):
         parse_trace([pad + '{"format": 1}'])
     padded = [" \t" + _EVENT_LINES[0] + " \r\n", " \t\r\n", "\n"]
     assert parse_trace(['{"format": 1}\n'] + padded) == [TraceEvent(1, Exit(7))]
+
+
+# --- library events: enum members and the parser's ints ----------------------
+
+_LIBRARY_POLICY = """\
+name: lib
+entry: /bin/lib
+allow:
+  - net: [client, server]
+  - ipc: lib
+"""
+# every enum field's members, spelled as a trace line spells them
+_SPELLINGS = {
+    FsKind: ["Regular", "Procfs", "Sysfs", "Overlayfs", "Bpffs"],
+    SocketFamily: ["Ipv4", "Ipv6", "Unix", "Other"],
+    SocketOpKind: ["Create", "Bind", "Listen", "Accept", "Connect", "Send", "Receive",
+                   "Shutdown"],
+    IpcMechanism: ["UnixSocket", "Signal", "SysV", "ShMem"],
+    HardeningKind: ["BpfSyscall", "Keyring", "Ptrace", "Mount", "Lockdown",
+                    "UnlinkPinnedObject"],
+}
+
+
+def _spelled(enum_cls):
+    return zip(enum_cls, _SPELLINGS[enum_cls], strict=True)
+
+
+def _library_cases():
+    """(a member-built event, its trace line) for every member of every enum field."""
+    for kind, name in _spelled(FsKind):
+        yield (FileAccess(1, "/proc/1/status", AccessFlags.WRITE, kind, 7, 1),
+               {"kind": "FileAccess", "pid": 1, "path": "/proc/1/status", "requested": "w",
+                "fs_kind": name, "owner_mount_ns": 7, "proc_subject_pid": 1})
+    # the default fs_kind, a member, and a line that names none
+    yield (FileAccess(1, "/etc/hosts", AccessFlags.READ),
+           {"kind": "FileAccess", "pid": 1, "path": "/etc/hosts", "requested": "r"})
+    for family, family_name in _spelled(SocketFamily):
+        for op, op_name in _spelled(SocketOpKind):
+            yield (SocketOp(1, family, op),
+                   {"kind": "SocketOp", "pid": 1, "family": family_name, "op": op_name})
+    for mechanism, name in _spelled(IpcMechanism):
+        yield IpcOp(1, 2, mechanism), {"kind": "IpcOp", "pid": 1, "peer_pid": 2, "mechanism": name}
+    for op, name in _spelled(HardeningKind):
+        yield HardeningOp(1, op), {"kind": "HardeningOp", "pid": 1, "op": name}
+
+
+def _library_state() -> ContainerState:
+    state = ContainerState(compile_policies([parse_policy(_LIBRARY_POLICY)]))
+    state.confine(1, "lib", mount_ns=7)
+    state.on_fork(1, 2)
+    return state
+
+
+_LIBRARY_CASES = list(_library_cases())
+
+
+@pytest.mark.parametrize("event, line", _LIBRARY_CASES, ids=[
+    "-".join([line["kind"], *(line[k] for k in ("fs_kind", "family", "op", "mechanism")
+                              if k in line)]) for _, line in _LIBRARY_CASES])
+def test_a_member_built_event_judges_and_renders_as_its_parsed_twin(event, line):
+    twin = parse_trace_object({"seq": 1, **line}).event
+    # the parser gives every enum field as a plain int
+    assert not [name for name in twin.__slots__ if isinstance(getattr(twin, name), enum.Enum)]
+    assert twin == event
+    decision = decide(event, _library_state())
+    assert decide(twin, _library_state()) == decision
+    assert twin.summary() == event.summary()
+    assert (AuditRecord(1, twin, *decision).to_json()
+            == AuditRecord(1, event, *decision).to_json())
+    # a Regular fs_kind is left out, whether a line named it or not
+    wire = {"seq": 1, **{k: v for k, v in line.items() if v != "Regular"}}
+    assert event_to_object(TraceEvent(1, twin)) == event_to_object(TraceEvent(1, event)) == wire

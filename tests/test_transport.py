@@ -1,11 +1,13 @@
 """``bpfcontain run`` parses in a forked child: events cross a pipe as flat
-tuples, errors come after the events before them, no child outlives a run,
+tuples, the main process stays within its per-event call budget, errors come
+after the events before them, no child outlives a run,
 no file descriptor is left open, and a run leaves the collector's freeze as
 it found it until the process exits."""
 
-import enum
+import collections
 import gc
 import inspect
+import io
 import json
 import marshal
 import os
@@ -14,6 +16,7 @@ import signal
 import subprocess
 import sys
 import threading
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -22,24 +25,14 @@ from hypothesis import example, given
 import bpfcontain
 from bpfcontain import cli, errors, transport
 from bpfcontain.cli import main
+from bpfcontain.compiler import compile_policies
 from bpfcontain.errors import BpfcontainError, MalformedEvent
-from bpfcontain.events import (
-    CapabilityUse,
-    CommitCreds,
-    FileAccess,
-    FsKind,
-    HardeningKind,
-    HardeningOp,
-    IpcMechanism,
-    IpcOp,
-    PrivLevel,
-    SocketFamily,
-    SocketOp,
-    SocketOpKind,
-    SwitchNamespaces,
-)
-from bpfcontain.trace import Confine, Exit, Fork, TraceEvent, iter_trace
+from bpfcontain.events import PrivLevel
+from bpfcontain.policy import parse_policy
+from bpfcontain.state import ContainerState
+from bpfcontain.trace import AuditLog, AuditWriter, iter_trace, replay, write_trace
 
+from corpus import workloads
 from test_properties import PROPERTY_SETTINGS, traces
 
 
@@ -101,39 +94,87 @@ def test_an_error_survives_pickling(exc):
 
 # --- the flat form ----------------------------------------------------------------------
 
-_EVERY_KIND = [
-    TraceEvent(1, FileAccess(1, "/etc/hosts", 5, FsKind.PROCFS, 2**64 - 1, 4)),
-    TraceEvent(2, SocketOp(1, SocketFamily.UNIX, SocketOpKind.SHUTDOWN)),
-    TraceEvent(3, IpcOp(1, 2, IpcMechanism.SHMEM)),
-    TraceEvent(4, CapabilityUse(1, "CAP_KILL", False)),
-    TraceEvent(5, CommitCreds(1, PrivLevel(1000, frozenset({"CAP_KILL"})), PrivLevel(0))),
-    TraceEvent(6, SwitchNamespaces(1)),
-    TraceEvent(7, HardeningOp(1, HardeningKind.UNLINK_PINNED_OBJECT)),
-    TraceEvent(8, Confine(1, "web", 3, 4)),
-    TraceEvent(9, Fork(1, 2)),
-    TraceEvent(10, Exit(2)),
+# one event of every kind, each enum field at a member other than the first,
+# as a trace line holds it
+_EVERY_KIND_LINES = [
+    {"seq": 1, "kind": "FileAccess", "pid": 1, "path": "/etc/hosts", "requested": "ra",
+     "fs_kind": "Procfs", "owner_mount_ns": 2**64 - 1, "proc_subject_pid": 4},
+    {"seq": 2, "kind": "SocketOp", "pid": 1, "family": "Unix", "op": "Shutdown"},
+    {"seq": 3, "kind": "IpcOp", "pid": 1, "peer_pid": 2, "mechanism": "ShMem"},
+    {"seq": 4, "kind": "CapabilityUse", "pid": 1, "capability": "CAP_KILL", "possessed": False},
+    {"seq": 5, "kind": "CommitCreds", "pid": 1,
+     "old_priv": {"uid": 1000, "capability_set": ["CAP_KILL"]}, "new_priv": {"uid": 0}},
+    {"seq": 6, "kind": "SwitchNamespaces", "pid": 1},
+    {"seq": 7, "kind": "HardeningOp", "pid": 1, "op": "UnlinkPinnedObject"},
+    {"seq": 8, "kind": "confine", "pid": 1, "policy_name": "web",
+     "ns_info": {"mount_ns": 3, "ipc_ns": 4}},
+    {"seq": 9, "kind": "fork", "parent": 1, "child": 2},
+    {"seq": 10, "kind": "exit", "pid": 2},
 ]
+_EVERY_KIND = list(iter_trace(['{"format": 1}', *map(json.dumps, _EVERY_KIND_LINES)]))
 
 
 def test_the_flat_forms_cover_every_kind():
     assert {type(te.event) for te in _EVERY_KIND} == {cls for cls, _, _ in transport._FORMS}
 
 
+def _parsed(events) -> list:
+    """What the parser child's ``iter_trace`` yields for a trace of ``events``."""
+    buf = io.StringIO()
+    write_trace(events, buf)
+    return list(iter_trace(buf.getvalue().splitlines()))
+
+
 @PROPERTY_SETTINGS
 @given(traces())
 @example(_EVERY_KIND)
 def test_every_kind_decodes_to_an_equal_event(events):
+    # the parser's own output crosses the pipe: a parser that gave an enum
+    # member, which marshal refuses, fails here
+    parsed = _parsed(events)
     decoded = transport.decode(marshal.loads(marshal.dumps(
-        [transport.encode(te) for te in events])))
-    assert decoded == events  # (seq, event) pairs, equal to TraceEvents
-    for (_, event), original in zip(decoded, events):
-        assert type(event) is type(original.event)
+        [transport.encode(te) for te in parsed])))
+    assert decoded == parsed  # (seq, event) pairs, equal to TraceEvents
+    for (_, event), (_, want) in zip(decoded, parsed):
+        assert type(event) is type(want)
         for name in event.__slots__:
-            value, want = getattr(event, name), getattr(original.event, name)
-            if isinstance(want, enum.IntEnum):
-                assert value is want
-            elif isinstance(want, PrivLevel):
-                assert type(value) is PrivLevel
+            value, original = getattr(event, name), getattr(want, name)
+            assert type(value) is type(original), name
+            if isinstance(original, PrivLevel):
+                assert [type(v) for v in value._values()] == [
+                    type(v) for v in original._values()]
+
+
+# The most Python-level calls the main process of a forked run may make per
+# event: decoding a received batch, replaying it and writing its audit lines.
+MAIN_CALLS_PER_EVENT = 9.5
+
+
+def test_the_main_process_stays_within_its_per_event_call_budget():
+    workload = workloads.steady_mix(5, 3000)
+    store = compile_policies([parse_policy(text) for _, text in workload.policies])
+    flat = [transport.encode(te) for te in iter_trace(workload.trace_lines())]
+    frames = [marshal.dumps(flat[i:i + transport.BATCH])
+              for i in range(0, len(flat), transport.BATCH)]
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        _, log = replay(chain.from_iterable(transport.decode(marshal.loads(f)) for f in frames),
+                        ContainerState(store), AuditLog(records=AuditWriter(io.StringIO().write)))
+    finally:
+        sys.setprofile(None)
+    assert log.events == 3000
+    per_event = sum(calls.values()) / log.events
+    most = ", ".join(
+        f"{code.co_name} ({os.path.basename(code.co_filename)}:{code.co_firstlineno})"
+        f" {n / log.events:.2f}" for code, n in calls.most_common(5))
+    assert per_event <= MAIN_CALLS_PER_EVENT, (
+        f"{per_event:.2f} Python calls per event, budget {MAIN_CALLS_PER_EVENT}; most: {most}")
 
 
 # --- errors come in order ---------------------------------------------------------------
